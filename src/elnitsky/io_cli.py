@@ -195,6 +195,9 @@ def parse_word(text: str, n: int | None = None) -> Word:
         letters = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"word must be comma-separated integers, got {text!r}") from None
+    for k, letter in enumerate(letters, 1):
+        if letter < 1:
+            raise ValueError(f"letter {letter} at position {k} is below 1")
     return Word(letters, max(letters) + 1 if n is None else n)
 
 
@@ -425,7 +428,7 @@ def main(argv=None) -> int:
     except GuardExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

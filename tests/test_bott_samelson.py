@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from math import comb, factorial
 
@@ -24,9 +25,11 @@ from elnitsky import (
     q_factorial,
     realize_fixed_point,
     stratum_dimension,
+    tiling_to_word,
     vertices_of,
     word_to_tiling,
 )
+from elnitsky.bott_samelson import _growth_steps, _image_from, _propagate
 from elnitsky.tilings import Rhombus, prefix_sets
 
 from helpers import (
@@ -227,3 +230,48 @@ def test_dark_count_histogram_matches_poincare():
         histogram = Counter(stratum_dimension(c) for c in all_colorings(T))
         coeffs = tuple(histogram[d] for d in range(max(histogram) + 1))
         assert poincare(T).coeffs == coeffs
+
+
+def replayed_images(T):
+    """The per-coloring definition: `image_permutation` for each of the
+    2^l(w) colorings, with the growth steps computed once, not per coloring."""
+    steps = _growth_steps(T, tiling_to_word(T))
+    base = prefix_sets(Permutation.identity(T.n))
+    return frozenset(
+        _image_from(_propagate(steps, base, c.dark), T.w) for c in all_colorings(T)
+    )
+
+
+def test_images_match_the_per_coloring_replay_on_s1_to_s5():
+    checked = 0
+    for n in range(1, 6):
+        for w in symmetric_group(n):
+            for T in enumerate_rhombic(w):
+                replay = replayed_images(T)
+                if n <= 4:
+                    assert replay == {image_permutation(T, c) for c in all_colorings(T)}
+                assert fixed_point_images(T) == replay
+                checked += 1
+    assert checked == 529
+
+
+@pytest.mark.long
+def test_images_fill_the_bruhat_interval_on_every_tiling_of_7456312():
+    w = Permutation.from_string("7456312")
+    interval = bruhat_interval(w)
+    assert len(interval) == 3432
+    tilings = enumerate_rhombic(w)
+    assert len(tilings) == 216
+    for T in tilings:
+        assert fixed_point_images(T) == interval
+
+
+def test_images_at_the_length_guard_edge():
+    w = Permutation.from_string("7654312")
+    T = word_to_tiling(some_reduced_word(w))
+    assert len(T.tiles) == 20
+    start = time.perf_counter()
+    images = fixed_point_images(T)
+    assert time.perf_counter() - start < 2
+    assert len(images) == 4320
+    assert images == bruhat_interval(w)

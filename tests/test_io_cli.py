@@ -68,6 +68,9 @@ def test_parse_word():
         parse_word("1,x")
     with pytest.raises(ValueError):
         parse_word("3", 2)
+    for bad in ("-1", "0", "2,-3"):
+        with pytest.raises(ValueError, match="letter .* is below 1"):
+            parse_word(bad)
 
 
 def test_parse_tiling_round_trips():
@@ -282,6 +285,15 @@ def test_cli_tile_rejects_non_reduced(capsys):
     assert "not reduced" in err
 
 
+def test_cli_tile_rank_overflow_is_an_input_error(capsys):
+    code, out, err = run(capsys, "tile", "99999999999999999999")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_cli_words(tmp_path, capsys):
     path = tmp_path / "t.json"
     path.write_text(T121_JSON)
@@ -419,6 +431,7 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "tile", "--help")[0] == 0
     assert run(capsys, "enumerate", "not-a-permutation")[0] == 1
+    assert run(capsys, "tile", "-1") == (1, "", "error: letter -1 at position 1 is below 1\n")
     assert run(capsys, "words", str(tmp_path / "missing.json"))[0] == 1
 
     bad = tmp_path / "bad.json"

@@ -242,3 +242,8 @@ def test_growth_peeling_round_trip_property(word):
     assert len(T.tiles) == len(word)
     assert word in all_words(T)
     assert word_to_tiling(tiling_to_word(T)) == T
+
+
+def test_rhombic_tilings_of_w0_match_oeis_a006245():
+    counts = [len(enumerate_rhombic(Permutation.longest(n))) for n in range(1, 7)]
+    assert counts == [1, 1, 2, 8, 62, 908]
