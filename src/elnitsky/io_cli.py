@@ -317,12 +317,11 @@ _UNIQUE_MAX_PATTERNS = ((4, 2, 3, 1), (4, 3, 1, 2), (3, 4, 2, 1))
 def _cmd_poset(args) -> None:
     w = parse_permutation(args.w)
     p = poset(w)
-    covers = sorted(
-        (tiling_digest(lo), tiling_digest(hi)) for lo, hi in p.covers
-    )
+    digest_of = {z: tiling_digest(z) for z in p.elements}
+    covers = sorted((digest_of[lo], digest_of[hi]) for lo, hi in p.covers)
     for lo, hi in covers:
         print(f"cover {lo} {hi}")
-    top = sorted(tiling_digest(z) for z in maximal_elements(p))
+    top = sorted(digest_of[z] for z in maximal_elements(p))
     for digest in top:
         print(f"maximal {digest}")
     print(f"unique_max {'true' if len(top) == 1 else 'false'}")

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
+from math import comb
 
 from .errors import ZONO_RANK_GUARD, GuardExceeded, check_length_guard
 from .permutations import Permutation, inversions
@@ -204,35 +205,44 @@ class ZonoPoset:
     """All zonotopal tilings of one E(w) under reverse edge inclusion.
 
     Elements are digest-sorted for reproducible output; cover relations are
-    computed on first use (maximal/minimal queries do not need them).
+    computed on first use, one tiling at a time.
+
+    Why local merges give exactly the covers.  Edge inclusion is the same
+    as tile-wise refinement: Z <= Y iff every tile of Y is a union of tiles
+    of Z, because no edge of Y crosses the interior of a tile of Z when Z
+    has all of Y's edges, and the unit edges on a tile's boundary are edges
+    of the tiles inside it.  If the tiles of Z with S <= base and
+    top <= T number two or more and their areas C(k, 2) sum to
+    C(|T - S|, 2), they exactly tile the 2k-gon with base S and labels
+    T - S: tiles of one tiling cover distinct inversions, and area adds up
+    over label pairs.  Merging them into that one tile is a coarsening of
+    Z.  Any tiling between Z and such a merge differs from Z only inside
+    the merged region, where its tiles are unions of the group's tiles; so
+    the merge covers Z iff no proper subgroup tiles a 2k-gon of its own.
+    And every cover Z < Y is such a merge: a tile of Y that is not a tile
+    of Z is a union of two or more tiles of Z, and merging just those gives
+    a tiling between Z and Y.  So the covers are exactly the minimal
+    single-region merges.
     """
 
     w: Permutation
     elements: tuple[ZonoTiling, ...]
 
     @cached_property
-    def _edge_sets(self) -> tuple[frozenset[Edge], ...]:
-        return tuple(edges_of(z) for z in self.elements)
-
-    @cached_property
-    def _strict_uppers(self) -> tuple[frozenset[int], ...]:
-        e = self._edge_sets
-        m = len(e)
+    def _cover_indices(self) -> tuple[tuple[int, int], ...]:
+        """(lower, upper) index pairs into `elements`, one per cover."""
+        index = {z.tiles: i for i, z in enumerate(self.elements)}
         return tuple(
-            frozenset(j for j in range(m) if j != i and e[i] >= e[j])
-            for i in range(m)
+            (i, index[merged])
+            for i, z in enumerate(self.elements)
+            for merged in _minimal_merges(z.tiles)
         )
 
     @cached_property
     def covers(self) -> frozenset[tuple[ZonoTiling, ZonoTiling]]:
         """(lower, upper) pairs with nothing strictly between."""
-        up = self._strict_uppers
-        out = []
-        for i, uppers in enumerate(up):
-            for j in uppers:
-                if not any(j in up[k] for k in uppers if k != j):
-                    out.append((self.elements[i], self.elements[j]))
-        return frozenset(out)
+        e = self.elements
+        return frozenset((e[i], e[j]) for i, j in self._cover_indices)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -241,19 +251,48 @@ class ZonoPoset:
         return f"ZonoPoset(w={self.w.to_string()}, {len(self.elements)} tilings)"
 
 
+def _minimal_merges(tiles: frozenset[ZonoTile]) -> list[frozenset[ZonoTile]]:
+    """Tile sets one cover above `tiles`: each minimal group of two or more
+    tiles that exactly tiles a 2k-gon, replaced by that single 2k-gon.
+
+    The 2k-gon with base S and top T has S as the base of one of its tiles
+    and T as the top of one, so only those S and T are tried; see ZonoPoset."""
+    tiles = tuple(tiles)
+    tops = [t.base.union(t.labels) for t in tiles]
+    regions: dict[frozenset[int], ZonoTile] = {}
+    for S in {t.base for t in tiles}:
+        above = [i for i, t in enumerate(tiles) if S <= t.base]
+        for T in {tops[i] for i in above}:
+            k = len(T) - len(S)
+            if k < 3:
+                continue
+            group = frozenset(i for i in above if tops[i] <= T)
+            area = sum(comb(tiles[i].size, 2) for i in group)
+            if len(group) >= 2 and area == comb(k, 2):
+                regions[group] = ZonoTile(tuple(T - S), S)
+    return [
+        frozenset(t for i, t in enumerate(tiles) if i not in group) | {merged}
+        for group, merged in regions.items()
+        if not any(other < group for other in regions)
+    ]
+
+
 def poset(w: Permutation) -> ZonoPoset:
     elements = sorted(enumerate_zonotopal(w), key=tiling_digest)
     return ZonoPoset(w, tuple(elements))
 
 
 def maximal_elements(p: ZonoPoset) -> frozenset[ZonoTiling]:
+    """Tilings with no upper cover."""
+    below_something = {i for i, _ in p._cover_indices}
     return frozenset(
-        z for z, uppers in zip(p.elements, p._strict_uppers) if not uppers
+        z for i, z in enumerate(p.elements) if i not in below_something
     )
 
 
 def minimal_elements(p: ZonoPoset) -> frozenset[ZonoTiling]:
-    above_something = frozenset(j for ups in p._strict_uppers for j in ups)
+    """Tilings with no lower cover."""
+    above_something = {j for _, j in p._cover_indices}
     return frozenset(
         z for i, z in enumerate(p.elements) if i not in above_something
     )

@@ -3,7 +3,8 @@
 Everything here recomputes results by a different route than the library
 code under test: pattern containment by brute subsequence scan, Bruhat
 order by the subword property, fixed-point images by the wiring model,
-and census-constrained tilings by a fresh bounded search.
+census-constrained tilings by a fresh bounded search, and the coarsening
+poset by comparing every pair of tilings.
 """
 from itertools import combinations, permutations as value_tuples
 
@@ -18,6 +19,7 @@ from elnitsky import (
     inversions,
     reduced_words,
     tiling_to_word,
+    zono_edges_of,
 )
 from elnitsky.tilings import peel_apply
 
@@ -122,6 +124,26 @@ def census_tiling(w, budget):
 
     tiles = grow(Permutation.identity(w.n), dict(budget), [])
     return None if tiles is None else ZonoTiling(w, frozenset(tiles))
+
+
+def coarsening_order_by_pairs(p):
+    """(covers, maximal, minimal) of a ZonoPoset by comparing every pair of
+    its tilings in the order zono_leq defines: Z <= Y iff Z has every edge
+    of Y.  Each edge set is computed once, as zono_leq would per call."""
+    edges = {z: zono_edges_of(z) for z in p.elements}
+    above = {
+        z: [y for y in p.elements if y != z and edges[z] >= edges[y]]
+        for z in p.elements
+    }
+    covers = frozenset(
+        (z, y)
+        for z, ups in above.items()
+        for y in ups
+        if not any(m != y and edges[m] >= edges[y] for m in ups)
+    )
+    maximal = frozenset(z for z, ups in above.items() if not ups)
+    minimal = frozenset(p.elements) - {y for ups in above.values() for y in ups}
+    return covers, maximal, minimal
 
 
 def sample_permutations(n, count, seed):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -377,6 +378,20 @@ def test_cli_poset(capsys):
     code, out, _ = run(capsys, "poset", "4231")
     assert "unique_max false" in out.splitlines()
     assert "avoids_4231_4312_3421 false" in out.splitlines()
+
+
+POSET_STDOUT_SHA256 = {
+    "4321": "3b8734aefb29acfd20ed1ec5e6586ffba19fefa14d5e9cf7972145145845a892",
+    "4231": "ca658b6311539da32fb640f0cdff21e1ca663855339d15c5da3c98aded06de1e",
+    "54321": "e3083fd7c27156550b1cdf323e70419fa9b2a3564c62b260b39c4597d392895d",
+}
+
+
+@pytest.mark.parametrize("w", sorted(POSET_STDOUT_SHA256))
+def test_cli_poset_output_is_pinned(capsys, w):
+    code, out, _ = run(capsys, "poset", w)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == POSET_STDOUT_SHA256[w]
 
 
 def test_cli_poincare(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from elnitsky import (
@@ -28,7 +30,7 @@ from elnitsky import (
 from elnitsky.flips import apply_flip, coarsen_flip, flip_sites
 from elnitsky.tilings import edges_of as rhombic_edges_of
 
-from helpers import sample_permutations, symmetric_group
+from helpers import coarsening_order_by_pairs, sample_permutations, symmetric_group
 
 HEX_TILING = ZonoTiling(
     Permutation((3, 2, 1)), frozenset({ZonoTile((1, 2, 3), frozenset())})
@@ -141,6 +143,27 @@ def test_covers_are_strict_and_gapless():
         for mid in p.elements:
             if mid not in (lo, hi):
                 assert not (zono_leq(lo, mid) and zono_leq(mid, hi))
+
+
+def local_order(p):
+    return p.covers, maximal_elements(p), minimal_elements(p)
+
+
+def test_local_covers_match_the_pairwise_order_on_s1_to_s5():
+    for n in range(1, 6):
+        for w in symmetric_group(n):
+            p = poset(w)
+            assert local_order(p) == coarsening_order_by_pairs(p)
+
+
+def test_poset_at_the_rank_six_edge():
+    enumerate_zonotopal.cache_clear()
+    start = time.perf_counter()
+    p = poset(Permutation.longest(6))
+    assert len(p) == 5161
+    assert len(p.covers) == 15588
+    assert len(maximal_elements(p)) == 1
+    assert time.perf_counter() - start < 15
 
 
 def test_minimal_elements_are_the_rhombic_tilings():
@@ -276,6 +299,16 @@ def test_json_uses_labels_key():
     text = HEX_TILING.to_json()
     expected = '{"n": 3, "w": [3, 2, 1], "tiles": [{"labels": [1, 2, 3], "base": []}]}'
     assert text == expected
+
+
+@pytest.mark.long
+def test_local_covers_match_the_pairwise_order_sampled_s6():
+    for w in sample_permutations(6, 12, seed=20261017):
+        p = poset(w)
+        assert local_order(p) == coarsening_order_by_pairs(p)
+    p = poset(Permutation.from_string("7463512"))
+    assert local_order(p) == coarsening_order_by_pairs(p)
+    assert (len(p), len(p.covers), len(maximal_elements(p))) == (2115, 6706, 56)
 
 
 @pytest.mark.long
