@@ -63,6 +63,8 @@ from .tilings import (
     Edge,
     RhombicTiling,
     Rhombus,
+    ZonoTile,
+    ZonoTiling,
     all_words,
     edges_of,
     enumerate_rhombic,
@@ -75,8 +77,6 @@ from .tilings import (
 )
 from .zonotopal import (
     ZonoPoset,
-    ZonoTile,
-    ZonoTiling,
     enumerate_zonotopal,
     from_rhombic,
     has_unique_max,

@@ -99,11 +99,6 @@ def q_factorial(i: int) -> QPolynomial:
     return result
 
 
-def _tile_size(tile) -> int:
-    labels = getattr(tile, "labels", None)
-    return 2 if labels is None else len(labels)
-
-
 def poincare(Z) -> QPolynomial:
     """prod over tiles of [k]_q! for a rhombic or zonotopal tiling Z.
 
@@ -111,7 +106,7 @@ def poincare(Z) -> QPolynomial:
     """
     result = QPolynomial.one()
     for tile in Z.tiles:
-        result = result * q_factorial(_tile_size(tile))
+        result = result * q_factorial(tile.size)
     return result
 
 

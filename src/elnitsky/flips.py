@@ -17,10 +17,11 @@ from .tilings import (
     LabelSet,
     RhombicTiling,
     Rhombus,
+    ZonoTile,
+    ZonoTiling,
     enumerate_rhombic,
     tiling_digest,
 )
-from .zonotopal import ZonoTile, ZonoTiling
 
 __all__ = [
     "INTERIOR_B",
@@ -143,7 +144,7 @@ def coarsen_flip(T: RhombicTiling, f: FlipSite) -> ZonoTiling:
     rhombic refinements differing over that hexagon.
     """
     f = _present_orientation(T, f)
-    kept = frozenset(ZonoTile(t.pair, t.base) for t in T.tiles - f.tiles())
+    kept = frozenset(ZonoTile(t.labels, t.base) for t in T.tiles - f.tiles())
     return ZonoTiling(T.w, kept | {ZonoTile(f.labels, f.base)})
 
 

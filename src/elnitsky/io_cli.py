@@ -21,25 +21,17 @@ from .permutations import Permutation, Word, contains_pattern
 from .tilings import (
     LabelSet,
     RhombicTiling,
-    Rhombus,
+    ZonoTiling,
     all_words,
     enumerate_rhombic,
-    polygon_vertices,
     prefix_sets,
     tiling_digest,
     tiling_to_word,
+    polygon_vertices,
     validation_error,
     word_to_tiling,
 )
-from .zonotopal import (
-    ZonoTile,
-    ZonoTiling,
-    enumerate_zonotopal,
-    maximal_elements,
-    poset,
-    to_rhombic,
-    zono_validation_error,
-)
+from .zonotopal import enumerate_zonotopal, maximal_elements, poset, to_rhombic
 
 __all__ = [
     "PolygonGeometry",
@@ -89,24 +81,6 @@ class RenderSpec:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
 
-def _tile_labels(tile) -> tuple[int, ...]:
-    labels = getattr(tile, "labels", None)
-    return tile.pair if labels is None else labels
-
-
-def tile_corner_cycle(tile) -> tuple[LabelSet, ...]:
-    """The 2k corners of a tile in cyclic order: up the increasing side,
-    back down the decreasing side."""
-    labels = _tile_labels(tile)
-    lower = [tile.base]
-    for x in labels:
-        lower.append(lower[-1] | {x})
-    upper = [tile.base]
-    for x in reversed(labels):
-        upper.append(upper[-1] | {x})
-    return tuple(lower + upper[-2:0:-1])
-
-
 def render_svg(tiling, spec: RenderSpec | None = None) -> str:
     """Draw a rhombic or zonotopal tiling as an SVG document.
 
@@ -121,10 +95,8 @@ def render_svg(tiling, spec: RenderSpec | None = None) -> str:
             raise ValueError("coloring belongs to a different tiling")
 
     g = PolygonGeometry(tiling.n)
-    corners = {t: tile_corner_cycle(t) for t in tiling.canonical_tiles()}
-    vertices = set(polygon_vertices(tiling.w))
-    for cycle in corners.values():
-        vertices.update(cycle)
+    corners = {t: t.corners() for t in tiling.canonical_tiles()}
+    vertices = polygon_vertices(tiling.w).union(*corners.values())
     pos = {v: vertex_position(v, g) for v in vertices}
 
     xs = [p[0] for p in pos.values()]
@@ -239,25 +211,20 @@ def parse_tiling(text: str) -> RhombicTiling | ZonoTiling:
             pair = _int_list(entry["pair"], "tile pair")
             if len(pair) != 2:
                 raise ValueError(f"tile pair must have 2 labels, got {pair!r}")
-            raw_tiles.append((tuple(pair), base, False))
+            raw_tiles.append((tuple(pair), base))
         elif "labels" in entry:
             labels = _int_list(entry["labels"], "tile labels")
-            raw_tiles.append((tuple(labels), base, True))
+            raw_tiles.append((tuple(labels), base))
             zonotopal = True
         else:
             raise ValueError(f"tile entry {entry!r} has neither pair nor labels")
 
-    if zonotopal:
-        Z = ZonoTiling(w, frozenset(ZonoTile(ls, b) for ls, b, _ in raw_tiles))
-        error = zono_validation_error(Z)
-        if error:
-            raise ValueError(error)
-        return Z
-    T = RhombicTiling(w, frozenset(Rhombus(ls, b) for ls, b, _ in raw_tiles))
-    error = validation_error(T)
+    kind = ZonoTiling if zonotopal else RhombicTiling
+    tiling = kind(w, frozenset(kind.tile_type(ls, b) for ls, b in raw_tiles))
+    error = validation_error(tiling)
     if error:
         raise ValueError(error)
-    return T
+    return tiling
 
 
 def _read_input(path: str) -> str:
@@ -265,12 +232,6 @@ def _read_input(path: str) -> str:
         return sys.stdin.read()
     with open(path, encoding="utf-8") as fh:
         return fh.read()
-
-
-def _require_rhombic(tiling) -> RhombicTiling:
-    if isinstance(tiling, ZonoTiling):
-        return to_rhombic(tiling)
-    return tiling
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +243,7 @@ def _cmd_tile(args) -> None:
 
 
 def _cmd_words(args) -> None:
-    T = _require_rhombic(parse_tiling(_read_input(args.tiling)))
+    T = to_rhombic(parse_tiling(_read_input(args.tiling)))
     if args.all:
         for word in sorted(all_words(T), key=lambda v: v.letters):
             print(word.to_string())
@@ -338,7 +299,7 @@ def _cmd_poincare(args) -> None:
 
 
 def _cmd_fixedpoints(args) -> None:
-    T = _require_rhombic(parse_tiling(_read_input(args.tiling)))
+    T = to_rhombic(parse_tiling(_read_input(args.tiling)))
     images = fixed_point_images(T)
     print(f"fixed_points {2 ** len(T.tiles)}")
     print(f"images {len(images)}")
@@ -351,7 +312,7 @@ def _cmd_render(args) -> None:
     tiling = parse_tiling(_read_input(args.tiling))
     coloring = None
     if args.coloring is not None:
-        coloring = Coloring.from_bits(_require_rhombic(tiling), args.coloring)
+        coloring = Coloring.from_bits(to_rhombic(tiling), args.coloring)
         tiling = coloring.tiling
     svg = render_svg(tiling, RenderSpec(coloring=coloring))
     if args.output == "-":

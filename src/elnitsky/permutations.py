@@ -8,7 +8,7 @@ order to the identity.
 """
 from __future__ import annotations
 
-import itertools
+from bisect import bisect, insort
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -94,8 +94,13 @@ class Permutation:
         return all(v == i for i, v in enumerate(self.values, 1))
 
     def length(self) -> int:
-        """Coxeter length = number of inversions."""
-        return len(inversions(self))
+        """Coxeter length = number of inversions, counted without listing them."""
+        seen: list[int] = []
+        count = 0
+        for v in self.values:
+            count += len(seen) - bisect(seen, v)
+            insort(seen, v)
+        return count
 
     def right_descents(self) -> tuple[int, ...]:
         """Positions i with w(i) > w(i+1)."""
@@ -159,12 +164,19 @@ def inversions(w: Permutation) -> InversionSet:
     >>> sorted(inversions(Permutation.from_string("321")))
     [(1, 2), (1, 3), (2, 3)]
     """
-    pos = w.inverse().values
-    return frozenset(
-        (a, b)
-        for a, b in itertools.combinations(range(1, w.n + 1), 2)
-        if pos[a - 1] > pos[b - 1]
-    )
+    # insertion sort of w's values: each value steps left past exactly the
+    # larger values before it, so the work is O(n + l(w))
+    out = []
+    seen: list[int] = []
+    for v in w.values:
+        j = len(seen)
+        seen.append(v)
+        while j and seen[j - 1] > v:
+            out.append((v, seen[j - 1]))
+            seen[j] = seen[j - 1]
+            j -= 1
+        seen[j] = v
+    return frozenset(out)
 
 
 def apply_simple(u: Permutation, i: int) -> Permutation:

@@ -1,17 +1,19 @@
-"""Rhombic tilings of the polygon E(w), encoded without coordinates.
+"""Tilings of the polygon E(w) by 2k-gon tiles, encoded without coordinates.
 
 The 2n-gon E(w) has unit sides labeled 1..n up the left half and, reading the
 right half from bottom to top, w(1)..w(n); same-labeled sides are parallel.
 Every vertex of a tiling is identified with a subset of {1..n}: the labels of
-any shortest edge path reaching it from the bottom vertex.  A rhombus is then
-a label pair {a, b} together with the base subset at its lowest vertex, and a
-tiling is a set of such rhombi.  This encoding makes the bijection with
+any shortest edge path reaching it from the bottom vertex.  A tile is then a
+set of k >= 2 labels together with the base subset at its lowest vertex, and
+a tiling is a set of such tiles.  A rhombus is simply the two-label tile, so
+rhombic and zonotopal tilings share one tile model, one growth engine, one
+validator and one tile geometry here.  This encoding makes the bijection with
 commutation classes of reduced words mechanical:
 
 * growing a tiling from a word sweeps a boundary (a permutation u, read off
   the edge labels from the bottom vertex) from the identity to w, emitting
   one rhombus per letter;
-* peeling a tiling reads letters back off, one per rhombus that sits on the
+* peeling a tiling reads letters back off, one per tile that sits on the
   current boundary.
 
 Tile-set equality is the canonical form of a commutation class: two reduced
@@ -21,21 +23,31 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
-from .errors import NotReducedError, check_length_guard
-from .permutations import Permutation, Word, apply_simple, evaluate, inversions
+from .errors import (
+    ZONO_RANK_GUARD,
+    GuardExceeded,
+    NotReducedError,
+    check_length_guard,
+)
+from .permutations import Permutation, Word, apply_simple, inversions
 
 __all__ = [
     "LabelSet",
+    "ZonoTile",
     "Rhombus",
+    "ZonoTiling",
     "RhombicTiling",
     "Edge",
     "word_to_tiling",
     "tiling_to_word",
     "all_words",
     "enumerate_rhombic",
+    "enumerate_zonotopal",
     "validate",
     "validation_error",
     "edges_of",
@@ -47,48 +59,80 @@ LabelSet = frozenset[int]
 
 
 @dataclass(frozen=True)
-class Rhombus:
-    """A tile: the unordered label pair {a, b} plus the base subset below it.
+class ZonoTile:
+    """A 2k-gon tile: k >= 2 edge labels plus the base subset at its lowest
+    vertex.  Boundary vertices are the base joined with labels taken in
+    increasing order (lower path) or decreasing order (upper path).
 
-    Its four vertices are base, base|{a}, base|{b} and base|{a,b}.  The base
-    is not required to be disjoint from the pair at construction time, so
-    that malformed input can be represented and rejected by `validate`.
+    The base is not required to be disjoint from the labels at construction
+    time, so that malformed input can be represented and rejected by
+    `validate`.
     """
 
-    pair: tuple[int, int]
+    labels: tuple[int, ...]
     base: LabelSet
 
     def __post_init__(self):
-        a, b = self.pair
-        if a == b:
-            raise ValueError(f"degenerate tile pair ({a}, {b})")
-        if a > b:
-            object.__setattr__(self, "pair", (b, a))
+        labels = tuple(sorted(self.labels))
+        if len(labels) < 2:
+            raise ValueError(f"tile needs at least 2 labels, got {list(labels)}")
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"repeated tile label in {list(labels)}")
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "base", frozenset(self.base))
 
+    @property
+    def size(self) -> int:
+        return len(self.labels)
+
     def key(self) -> tuple:
-        return (self.pair, tuple(sorted(self.base)))
+        return (self.labels, tuple(sorted(self.base)))
 
-    def vertices(self) -> tuple[LabelSet, ...]:
-        a, b = self.pair
-        return (
-            self.base,
-            self.base | {a},
-            self.base | {b},
-            self.base | {a, b},
-        )
+    def corners(self) -> tuple[LabelSet, ...]:
+        """The 2k corners in cyclic order: up the increasing side from the
+        base to the top, then back down the decreasing side."""
+        lower = [self.base]
+        for x in self.labels:
+            lower.append(lower[-1] | {x})
+        upper = [self.base]
+        for x in self.labels[:0:-1]:
+            upper.append(upper[-1] | {x})
+        return tuple(lower + upper[:0:-1])
 
-    def edges(self) -> tuple["Edge", ...]:
-        a, b = self.pair
-        return (
-            Edge(self.base, a),
-            Edge(self.base, b),
-            Edge(self.base | {a}, b),
-            Edge(self.base | {b}, a),
-        )
+    def vertices(self) -> frozenset[LabelSet]:
+        return frozenset(self.corners())
+
+    def edges(self) -> tuple[Edge, ...]:
+        """The 2k boundary edges, labels in increasing order along each side:
+        up the lower side from corner 0, and up the upper side from corner 0
+        back to corner k, whose tails are the corners after k."""
+        c = self.corners()
+        k = len(self.labels)
+        tails = c[:k] + c[k + 1 :] + c[:1]
+        return tuple(Edge(t, x) for t, x in zip(tails, self.labels * 2))
 
     def __repr__(self) -> str:
-        return f"Rhombus({self.pair}, {{{', '.join(map(str, sorted(self.base)))}}})"
+        base = ", ".join(map(str, sorted(self.base)))
+        return f"{type(self).__name__}({self.labels}, {{{base}}})"
+
+
+class Rhombus(ZonoTile):
+    """A tile with exactly two labels, its `pair`."""
+
+    def __post_init__(self):
+        # ZonoTile.__post_init__ for k = 2 without the sort: flip search and
+        # growth build many rhombi
+        if len(self.labels) != 2:
+            raise ValueError(f"a rhombus needs exactly 2 labels, got {list(self.labels)}")
+        a, b = self.labels
+        if a == b:
+            raise ValueError(f"repeated tile label in {[a, b]}")
+        object.__setattr__(self, "labels", (a, b) if a < b else (b, a))
+        object.__setattr__(self, "base", frozenset(self.base))
+
+    @property
+    def pair(self) -> tuple[int, int]:
+        return self.labels
 
 
 @dataclass(frozen=True)
@@ -109,11 +153,15 @@ class Edge:
 
 
 @dataclass(frozen=True)
-class RhombicTiling:
-    """A set of rhombi tiling E(w); equality is tile-set equality."""
+class ZonoTiling:
+    """A set of 2k-gon tiles tiling E(w); equality is tile-set equality."""
 
     w: Permutation
-    tiles: frozenset[Rhombus]
+    tiles: frozenset[ZonoTile]
+
+    # not fields: the tile class and its JSON key, which RhombicTiling changes
+    tile_type = ZonoTile
+    json_key = "labels"
 
     def __post_init__(self):
         object.__setattr__(self, "tiles", frozenset(self.tiles))
@@ -122,8 +170,8 @@ class RhombicTiling:
     def n(self) -> int:
         return self.w.n
 
-    def canonical_tiles(self) -> tuple[Rhombus, ...]:
-        return tuple(sorted(self.tiles, key=Rhombus.key))
+    def canonical_tiles(self) -> tuple[ZonoTile, ...]:
+        return tuple(sorted(self.tiles, key=ZonoTile.key))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -131,17 +179,24 @@ class RhombicTiling:
                 "n": self.n,
                 "w": list(self.w.values),
                 "tiles": [
-                    {"pair": list(t.pair), "base": sorted(t.base)}
+                    {self.json_key: list(t.labels), "base": sorted(t.base)}
                     for t in self.canonical_tiles()
                 ],
             }
         )
 
     def __repr__(self) -> str:
-        return f"RhombicTiling(w={self.w.to_string()}, {len(self.tiles)} tiles)"
+        return f"{type(self).__name__}(w={self.w.to_string()}, {len(self.tiles)} tiles)"
 
 
-def tiling_digest(tiling) -> str:
+class RhombicTiling(ZonoTiling):
+    """A tiling by rhombi; its JSON spells each tile's labels as "pair"."""
+
+    tile_type = Rhombus
+    json_key = "pair"
+
+
+def tiling_digest(tiling: ZonoTiling) -> str:
     """Short stable digest of the canonical JSON form (rhombic or zonotopal)."""
     return hashlib.sha256(tiling.to_json().encode()).hexdigest()[:12]
 
@@ -204,8 +259,7 @@ def word_to_tiling(word: Word) -> RhombicTiling:
 #
 # A tile (labels, base) sits on the boundary u when the base is a prefix of u
 # and the labels continue it in increasing order; peeling it reverses that
-# segment of u.  These helpers take the label set as a sorted tuple so the
-# same code serves 2k-gon tiles.
+# segment of u.
 
 def peel_position(u: Permutation, labels: tuple[int, ...], base: LabelSet) -> int | None:
     """0-based prefix length at which the tile sits on u, or None."""
@@ -231,7 +285,7 @@ def _peelable_rhombi(u: Permutation, tiles) -> list[tuple[int, Rhombus]]:
     """(letter, tile) pairs currently sitting on the boundary u, letter-sorted."""
     found = []
     for tile in tiles:
-        p = peel_position(u, tile.pair, tile.base)
+        p = peel_position(u, tile.labels, tile.base)
         if p is not None:
             found.append((p + 1, tile))
     found.sort(key=lambda x: x[0])
@@ -283,65 +337,122 @@ def all_words(T: RhombicTiling) -> frozenset[Word]:
 
 @lru_cache(maxsize=256)
 def enumerate_rhombic(w: Permutation) -> frozenset[RhombicTiling]:
-    """All rhombic tilings of E(w), by depth-first boundary growth.
-
-    Branches over every ascent of the boundary whose pair is an inversion of
-    w; partial tile sets determine their boundary, so visited partials prune
-    the (heavily reconvergent) search tree.
-    """
+    """All rhombic tilings of E(w): boundary growth by runs of length 2."""
     check_length_guard(w.length(), "rhombic tiling enumeration")
-    inv_w = inversions(w)
-    complete: set[frozenset[Rhombus]] = set()
-    seen: set[frozenset[Rhombus]] = set()
+    return _grow(w, 2, RhombicTiling)
 
-    def grow(u: Permutation, tiles: frozenset[Rhombus]):
-        if tiles in seen:
+
+@lru_cache(maxsize=256)
+def enumerate_zonotopal(w: Permutation) -> frozenset[ZonoTiling]:
+    """All zonotopal tilings of E(w): boundary growth by runs of any length."""
+    if w.n > ZONO_RANK_GUARD:
+        raise GuardExceeded(
+            f"zonotopal enumeration refused: rank {w.n} exceeds the guard {ZONO_RANK_GUARD}"
+        )
+    check_length_guard(w.length(), "zonotopal tiling enumeration")
+    return _grow(w, w.n, ZonoTiling)
+
+
+def _grow(w: Permutation, max_run: int, tiling_type: type[ZonoTiling]) -> frozenset:
+    """All tilings of E(w) by tiles of at most `max_run` labels.
+
+    Depth-first boundary growth on raw value tuples.  At boundary u a tile
+    fits over positions p..q when u increases there through values whose
+    every pair is an inversion of w; placing it reverses that segment.  On an
+    increasing run w puts the values in decreasing position order, so only
+    neighbours need checking.  A tile is coded as one int, base bits above
+    label bits, and becomes a `tiling_type.tile_type` only in complete
+    tilings, one object per distinct code.
+
+    No memo is needed: each partial tiling is reached by one placement
+    order only.  Two tiles can be placed in either order iff their segments
+    are disjoint (a tile's base is the set of values before it, not their
+    order, and overlapping segments share a position whose value the first
+    reversal moves).  So the placement orders of one tile set differ by
+    swaps of adjacent disjoint tiles, and exactly one of them lists the tile
+    positions in lexicographically least order: the one in which, looking
+    back from the tile over p..q, the latest tile ending at or after p
+    overlaps it, because a disjoint one would lie to its right and could
+    swap with it.  `reach[r]` is where the latest tile ending at or after r
+    starts (0 while there is none), so the test is reach[p] <= q.
+    """
+    n = w.n
+    target = w.values
+    pos = [0] * (n + 1)
+    for i, v in enumerate(target):
+        pos[v] = i
+    complete: list[frozenset[int]] = []
+    codes: list[int] = []
+
+    def grow(u: tuple[int, ...], reach: tuple[int, ...]):
+        if u == target:
+            complete.append(frozenset(codes))
             return
-        seen.add(tiles)
-        if u == w:
-            complete.add(tiles)
-            return
-        for i in u.ascents():
-            a, b = u(i), u(i + 1)
-            if (a, b) in inv_w:
-                tile = Rhombus((a, b), frozenset(u.values[: i - 1]))
-                grow(apply_simple(u, i), tiles | {tile})
+        base = 0
+        for p in range(n - 1):
+            labels = 1 << u[p]
+            for q in range(p + 1, min(p + max_run, n)):
+                x, y = u[q - 1], u[q]
+                if x > y or pos[x] < pos[y]:
+                    break
+                labels |= 1 << y
+                if reach[p] <= q:
+                    codes.append(base << (n + 1) | labels)
+                    grow(
+                        u[:p] + u[p : q + 1][::-1] + u[q + 1 :],
+                        (p,) * (q + 1) + reach[q + 1 :],
+                    )
+                    codes.pop()
+            base |= 1 << u[p]
 
-    grow(Permutation.identity(w.n), frozenset())
-    return frozenset(RhombicTiling(w, tiles) for tiles in complete)
+    grow(tuple(range(1, n + 1)), (0,) * n)
+
+    tiles: dict[int, ZonoTile] = {}
+
+    def tile(code: int) -> ZonoTile:
+        if code not in tiles:
+            members = [x for x in range(1, n + 1) if code >> x & 1]
+            base = frozenset(x for x in range(1, n + 1) if code >> (n + 1 + x) & 1)
+            tiles[code] = tiling_type.tile_type(tuple(members), base)
+        return tiles[code]
+
+    return frozenset(tiling_type(w, frozenset(map(tile, c))) for c in complete)
 
 
-def validation_error(T: RhombicTiling) -> str | None:
-    """Reason T is not a rhombic tiling of E(w), or None if it is."""
+def validation_error(T: ZonoTiling) -> str | None:
+    """Reason T is not a tiling of E(w) by its tiles, or None if it is."""
     n = T.n
     for tile in T.tiles:
-        a, b = tile.pair
-        if not (1 <= a <= n and 1 <= b <= n):
-            return f"tile pair ({a}, {b}) outside 1..{n}"
+        if not (1 <= tile.labels[0] and tile.labels[-1] <= n):
+            return f"tile labels {list(tile.labels)} outside 1..{n}"
         if not all(1 <= x <= n for x in tile.base):
             return f"tile base {sorted(tile.base)} outside 1..{n}"
-        if tile.base & {a, b}:
-            return f"tile base {sorted(tile.base)} not disjoint from pair ({a}, {b})"
-    inv_w = inversions(T.w)
-    pairs = [t.pair for t in T.tiles]
-    if len(set(pairs)) < len(pairs):
-        dup = next(p for p in pairs if pairs.count(p) > 1)
+        if not tile.base.isdisjoint(tile.labels):
+            return (
+                f"tile base {sorted(tile.base)} not disjoint from labels"
+                f" {list(tile.labels)}"
+            )
+    pairs = [pair for t in T.tiles for pair in combinations(t.labels, 2)]
+    covered = set(pairs)
+    if len(covered) < len(pairs):
+        dup = min(pair for pair, count in Counter(pairs).items() if count > 1)
         return f"pair {dup} covered by more than one tile"
-    extra = set(pairs) - inv_w
+    inv_w = inversions(T.w)
+    extra = covered - inv_w
     if extra:
         return f"pair {min(extra)} is not an inversion of {T.w.to_string()}"
-    missing = inv_w - set(pairs)
+    missing = inv_w - covered
     if missing:
         return f"inversion {min(missing)} not covered by any tile"
     if not peel_order_exists(
-        Permutation.identity(n), frozenset((t.pair, t.base) for t in T.tiles)
+        Permutation.identity(n), frozenset((t.labels, t.base) for t in T.tiles)
     ):
         return "tiles do not admit any peeling order from the base boundary"
     return None
 
 
-def validate(T: RhombicTiling) -> bool:
-    """True iff T's pairs are exactly inversions(w) and a peeling order exists."""
+def validate(T: ZonoTiling) -> bool:
+    """True iff T's tiles cover inversions(w) once each and a peeling order exists."""
     return validation_error(T) is None
 
 
@@ -370,17 +481,17 @@ def peel_order_exists(
 # ---------------------------------------------------------------------------
 # incidence data
 
-def edges_of(T: RhombicTiling) -> frozenset[Edge]:
-    """All unit edges of T: tile edges plus the polygon boundary of E(w)."""
+def edges_of(T: ZonoTiling) -> frozenset[Edge]:
+    """All unit edges of T: 2k per tile, plus the polygon boundary of E(w)."""
     edges = set(polygon_edges(T.w))
     for tile in T.tiles:
         edges.update(tile.edges())
     return frozenset(edges)
 
 
-def vertices_of(T: RhombicTiling) -> frozenset[LabelSet]:
+def vertices_of(T: ZonoTiling) -> frozenset[LabelSet]:
     """All vertices of T, including every boundary vertex of E(w)."""
     vertices = set(polygon_vertices(T.w))
     for tile in T.tiles:
-        vertices.update(tile.vertices())
+        vertices.update(tile.corners())
     return frozenset(vertices)

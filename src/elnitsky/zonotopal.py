@@ -1,31 +1,33 @@
 """Zonotopal tilings: coarsenings of rhombic tilings by larger 2k-gon tiles.
 
-A tile here carries k >= 2 labels instead of a pair; its shape is the
-centrally symmetric 2k-gon swept by those k edge directions, and a rhombus
-is the k = 2 case.  The tilings of E(w) by such tiles form a poset under
-reverse edge inclusion (more edges = finer = smaller), whose minimal
-elements are exactly the rhombic tilings.
+A tile carries k >= 2 labels; its shape is the centrally symmetric 2k-gon
+swept by those k edge directions, and a rhombus is the k = 2 case.  The
+tile model, the growth engine behind `enumerate_zonotopal` and the
+validator live in `tilings`, shared with rhombic tilings; this module adds
+the coarsening order, the conversions to and from rhombic tilings, and
+refinement.  The tilings of E(w) by such tiles form a poset under reverse
+edge inclusion (more edges = finer = smaller), whose minimal elements are
+exactly the rhombic tilings.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import combinations, product
+from functools import cached_property
+from itertools import product
 from math import comb
 
-from .errors import ZONO_RANK_GUARD, GuardExceeded, check_length_guard
-from .permutations import Permutation, inversions
+from .permutations import Permutation
 from .tilings import (
-    Edge,
-    LabelSet,
     RhombicTiling,
     Rhombus,
+    ZonoTile,
+    ZonoTiling,
+    edges_of,
     enumerate_rhombic,
-    peel_apply,
-    peel_order_exists,
-    polygon_edges,
+    enumerate_zonotopal,
     tiling_digest,
+    validate as zono_validate,
+    validation_error as zono_validation_error,
 )
 
 __all__ = [
@@ -48,147 +50,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ZonoTile:
-    """A 2k-gon tile: k >= 2 edge labels plus the base subset at its lowest
-    vertex.  Boundary vertices are the base joined with labels taken in
-    increasing order (lower path) or decreasing order (upper path)."""
-
-    labels: tuple[int, ...]
-    base: LabelSet
-
-    def __post_init__(self):
-        labels = tuple(sorted(self.labels))
-        if len(labels) < 2:
-            raise ValueError(f"tile needs at least 2 labels, got {list(labels)}")
-        if len(set(labels)) < len(labels):
-            raise ValueError(f"repeated tile label in {list(labels)}")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "base", frozenset(self.base))
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    def key(self) -> tuple:
-        return (self.labels, tuple(sorted(self.base)))
-
-    def vertices(self) -> frozenset[LabelSet]:
-        out = set()
-        for seq in (self.labels, tuple(reversed(self.labels))):
-            acc = self.base
-            out.add(acc)
-            for x in seq:
-                acc = acc | {x}
-                out.add(acc)
-        return frozenset(out)
-
-    def edges(self) -> tuple[Edge, ...]:
-        out = []
-        for seq in (self.labels, tuple(reversed(self.labels))):
-            acc = self.base
-            for x in seq:
-                out.append(Edge(acc, x))
-                acc = acc | {x}
-        return tuple(out)
-
-    def __repr__(self) -> str:
-        return f"ZonoTile({self.labels}, {{{', '.join(map(str, sorted(self.base)))}}})"
-
-
-@dataclass(frozen=True)
-class ZonoTiling:
-    """A set of 2k-gon tiles tiling E(w); equality is tile-set equality."""
-
-    w: Permutation
-    tiles: frozenset[ZonoTile]
-
-    def __post_init__(self):
-        object.__setattr__(self, "tiles", frozenset(self.tiles))
-
-    @property
-    def n(self) -> int:
-        return self.w.n
-
-    def canonical_tiles(self) -> tuple[ZonoTile, ...]:
-        return tuple(sorted(self.tiles, key=ZonoTile.key))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "w": list(self.w.values),
-                "tiles": [
-                    {"labels": list(t.labels), "base": sorted(t.base)}
-                    for t in self.canonical_tiles()
-                ],
-            }
-        )
-
-    def __repr__(self) -> str:
-        return f"ZonoTiling(w={self.w.to_string()}, {len(self.tiles)} tiles)"
-
-
 def from_rhombic(T: RhombicTiling) -> ZonoTiling:
     """View a rhombic tiling as a zonotopal one (every tile has k = 2)."""
-    return ZonoTiling(T.w, frozenset(ZonoTile(t.pair, t.base) for t in T.tiles))
+    return ZonoTiling(T.w, frozenset(ZonoTile(t.labels, t.base) for t in T.tiles))
 
 
 def to_rhombic(Z: ZonoTiling) -> RhombicTiling:
-    """Inverse of from_rhombic; rejects tilings with any tile larger than a rhombus."""
+    """Z as a RhombicTiling; rejects tilings with any tile larger than a rhombus."""
+    if isinstance(Z, RhombicTiling):
+        return Z
     for t in Z.tiles:
         if t.size != 2:
             raise ValueError(f"not a rhombic tiling: tile {t!r} has {t.size} labels")
     return RhombicTiling(Z.w, frozenset(Rhombus(t.labels, t.base) for t in Z.tiles))
-
-
-def edges_of(Z: ZonoTiling) -> frozenset[Edge]:
-    """All unit edges of Z: 2k per tile, plus the polygon boundary of E(w)."""
-    edges = set(polygon_edges(Z.w))
-    for tile in Z.tiles:
-        edges.update(tile.edges())
-    return frozenset(edges)
-
-
-@lru_cache(maxsize=256)
-def enumerate_zonotopal(w: Permutation) -> frozenset[ZonoTiling]:
-    """All zonotopal tilings of E(w) by depth-first boundary growth.
-
-    A tile is placeable where the boundary runs through its labels in
-    increasing order and every label pair is an inversion of w; placing it
-    reverses that boundary segment.  Placed tile sets determine their
-    boundary, so they double as the DFS memo key.
-    """
-    if w.n > ZONO_RANK_GUARD:
-        raise GuardExceeded(
-            f"zonotopal enumeration refused: rank {w.n} exceeds the guard {ZONO_RANK_GUARD}"
-        )
-    check_length_guard(w.length(), "zonotopal tiling enumeration")
-    inv_w = inversions(w)
-    complete: set[frozenset[ZonoTile]] = set()
-    seen: set[frozenset[ZonoTile]] = set()
-
-    def grow(u: Permutation, tiles: frozenset[ZonoTile]):
-        if tiles in seen:
-            return
-        seen.add(tiles)
-        if u == w:
-            complete.add(tiles)
-            return
-        vals = u.values
-        for p in range(u.n - 1):
-            run = [vals[p]]
-            base = frozenset(vals[:p])
-            for q in range(p + 1, u.n):
-                x = vals[q]
-                if x < run[-1] or any((y, x) not in inv_w for y in run):
-                    break
-                run.append(x)
-                tile = ZonoTile(tuple(run), base)
-                grow(peel_apply(u, p, len(run)), tiles | {tile})
-
-    grow(Permutation.identity(w.n), frozenset())
-    return frozenset(ZonoTiling(w, tiles) for tiles in complete)
 
 
 def zono_leq(Z1: ZonoTiling, Z2: ZonoTiling) -> bool:
@@ -350,40 +224,3 @@ def _relabel(T: RhombicTiling, tile: ZonoTile) -> frozenset[Rhombus]:
         )
         for r in T.tiles
     )
-
-
-def zono_validation_error(Z: ZonoTiling) -> str | None:
-    """Reason Z is not a zonotopal tiling of E(w), or None if it is."""
-    n = Z.n
-    for tile in Z.tiles:
-        if not all(1 <= x <= n for x in tile.labels):
-            return f"tile labels {list(tile.labels)} outside 1..{n}"
-        if not all(1 <= x <= n for x in tile.base):
-            return f"tile base {sorted(tile.base)} outside 1..{n}"
-        if tile.base & set(tile.labels):
-            return (
-                f"tile base {sorted(tile.base)} not disjoint from labels"
-                f" {list(tile.labels)}"
-            )
-    inv_w = inversions(Z.w)
-    covered: dict[tuple[int, int], int] = {}
-    for tile in Z.tiles:
-        for pair in combinations(tile.labels, 2):
-            covered[pair] = covered.get(pair, 0) + 1
-    for pair, count in sorted(covered.items()):
-        if pair not in inv_w:
-            return f"pair {pair} is not an inversion of {Z.w.to_string()}"
-        if count > 1:
-            return f"pair {pair} covered by more than one tile"
-    missing = inv_w - covered.keys()
-    if missing:
-        return f"inversion {min(missing)} not covered by any tile"
-    if not peel_order_exists(
-        Permutation.identity(n), frozenset((t.labels, t.base) for t in Z.tiles)
-    ):
-        return "tiles do not admit any peeling order from the base boundary"
-    return None
-
-
-def zono_validate(Z: ZonoTiling) -> bool:
-    return zono_validation_error(Z) is None

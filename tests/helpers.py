@@ -1,31 +1,38 @@
 """Independent oracles and search utilities shared across the test files.
 
 Everything here recomputes results by a different route than the library
-code under test: pattern containment by brute subsequence scan, Bruhat
-order by the subword property, fixed-point images by the wiring model,
-census-constrained tilings by a fresh bounded search, and the coarsening
-poset by comparing every pair of tilings.
+code under test: inversions by testing every pair, pattern containment by
+brute subsequence scan, Bruhat order by the subword property, fixed-point
+images by the wiring model, tilings by a memoized search over partial tile
+sets, census-constrained tilings by a fresh bounded search, and the
+coarsening poset by comparing every pair of tilings.
 """
 from itertools import combinations, permutations as value_tuples
 
 from elnitsky import (
     Permutation,
-    Rhombus,
     Word,
     ZonoTile,
     ZonoTiling,
     apply_simple,
     evaluate,
-    inversions,
     reduced_words,
     tiling_to_word,
-    zono_edges_of,
 )
-from elnitsky.tilings import peel_apply
 
 
 def symmetric_group(n):
     return [Permutation(vals) for vals in value_tuples(range(1, n + 1))]
+
+
+def inversions_by_pairs(w):
+    """All pairs (a, b), a < b, that w puts out of order: every pair tested."""
+    pos = w.inverse().values
+    return frozenset(
+        (a, b)
+        for a, b in combinations(range(1, w.n + 1), 2)
+        if pos[a - 1] > pos[b - 1]
+    )
 
 
 def naive_contains(w, p):
@@ -77,21 +84,59 @@ def wiring_image(T, coloring):
     """Fixed-point image by the wiring model: strands cross at dark tiles
     and bounce at light ones, so the image is the product of the dark
     letters in growth order."""
+    dark = {(t.labels, t.base) for t in coloring.dark}
     u = Permutation.identity(T.n)
     v = Permutation.identity(T.n)
     for letter in tiling_to_word(T):
         a, b = u(letter), u(letter + 1)
-        tile = Rhombus((a, b), frozenset(u.values[: letter - 1]))
-        if coloring.is_dark(tile):
+        if ((a, b), frozenset(u.values[: letter - 1])) in dark:
             v = apply_simple(v, letter)
         u = apply_simple(u, letter)
     return v
 
 
+def placements(u, inv_w):
+    """(labels, base, next boundary) for every tile that fits on the
+    boundary u: an increasing run of values whose pairs are all in inv_w,
+    reversed to advance the boundary."""
+    vals = u.values
+    for p in range(u.n - 1):
+        run = [vals[p]]
+        base = frozenset(vals[:p])
+        for q in range(p + 1, u.n):
+            x = vals[q]
+            if x < run[-1] or any((y, x) not in inv_w for y in run):
+                break
+            run.append(x)
+            nxt = vals[:p] + tuple(reversed(run)) + vals[q + 1 :]
+            yield tuple(run), base, Permutation(nxt)
+
+
+def zonotopal_tile_sets(w):
+    """Every tiling of E(w) by 2k-gon tiles, as a frozenset of (labels, base)
+    pairs, by depth-first growth that memoizes the partial tile sets."""
+    inv_w = inversions_by_pairs(w)
+    found = set()
+    seen = set()
+
+    def grow(u, tiles):
+        if tiles in seen:
+            return
+        seen.add(tiles)
+        if u == w:
+            found.add(tiles)
+            return
+        for labels, base, nxt in placements(u, inv_w):
+            grow(nxt, tiles | {(labels, base)})
+
+    grow(Permutation.identity(w.n), frozenset())
+    return found
+
+
 def census_tiling(w, budget):
     """Some zonotopal tiling of E(w) with exactly budget[k] tiles of each
     size k, or None.  Unguarded bounded search, biggest tiles first."""
-    inv_w = inversions(w)
+    inv_w = inversions_by_pairs(w)
     failed = set()
 
     def grow(u, remaining, tiles):
@@ -100,22 +145,16 @@ def census_tiling(w, budget):
         key = (u, tuple(sorted(remaining.items())))
         if key in failed:
             return None
-        vals = u.values
-        options = []
-        for p in range(u.n - 1):
-            run = [vals[p]]
-            base = frozenset(vals[:p])
-            for q in range(p + 1, u.n):
-                x = vals[q]
-                if x < run[-1] or any((y, x) not in inv_w for y in run):
-                    break
-                run.append(x)
-                if remaining.get(len(run), 0) > 0:
-                    options.append((len(run), p, tuple(run), base))
-        options.sort(key=lambda option: -option[0])
-        for k, p, run, base in options:
+        options = [
+            option
+            for option in placements(u, inv_w)
+            if remaining.get(len(option[0]), 0) > 0
+        ]
+        options.sort(key=lambda option: -len(option[0]))
+        for labels, base, nxt in options:
+            k = len(labels)
             remaining[k] -= 1
-            found = grow(peel_apply(u, p, k), remaining, tiles + [ZonoTile(run, base)])
+            found = grow(nxt, remaining, tiles + [ZonoTile(labels, base)])
             remaining[k] += 1
             if found is not None:
                 return found
@@ -126,11 +165,25 @@ def census_tiling(w, budget):
     return None if tiles is None else ZonoTiling(w, frozenset(tiles))
 
 
+def unit_edges(z):
+    """All unit edges of a tiling as (tail, label) pairs: both boundary
+    paths of every tile, and both sides of the polygon E(w)."""
+    paths = [(frozenset(), tuple(range(1, z.n + 1))), (frozenset(), z.w.values)]
+    for t in z.tiles:
+        paths += [(t.base, t.labels), (t.base, t.labels[::-1])]
+    edges = set()
+    for tail, labels in paths:
+        for x in labels:
+            edges.add((tail, x))
+            tail = tail | {x}
+    return frozenset(edges)
+
+
 def coarsening_order_by_pairs(p):
     """(covers, maximal, minimal) of a ZonoPoset by comparing every pair of
     its tilings in the order zono_leq defines: Z <= Y iff Z has every edge
     of Y.  Each edge set is computed once, as zono_leq would per call."""
-    edges = {z: zono_edges_of(z) for z in p.elements}
+    edges = {z: unit_edges(z) for z in p.elements}
     above = {
         z: [y for y in p.elements if y != z and edges[z] >= edges[y]]
         for z in p.elements

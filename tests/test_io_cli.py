@@ -3,6 +3,7 @@ import io
 import json
 import math
 import sys
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -24,7 +25,6 @@ from elnitsky import (
     vertex_position,
     word_to_tiling,
 )
-from elnitsky.io_cli import tile_corner_cycle
 
 T21 = word_to_tiling(Word((1,), 2))
 T121 = word_to_tiling(Word((1, 2, 1), 3))
@@ -159,14 +159,14 @@ def test_vertex_positions():
 
 def test_tile_corner_cycles():
     (tile,) = T21.tiles
-    assert tile_corner_cycle(tile) == (
+    assert tile.corners() == (
         frozenset(),
         frozenset({1}),
         frozenset({1, 2}),
         frozenset({2}),
     )
     hexagon = ZonoTile((1, 2, 3), frozenset())
-    cycle = tile_corner_cycle(hexagon)
+    cycle = hexagon.corners()
     assert len(cycle) == 6
     assert len(set(cycle)) == 6
 
@@ -350,6 +350,23 @@ def test_cli_enumerate_guard(capsys):
     code, _, err = run(capsys, "enumerate", "7654321")
     assert code == 2
     assert "error:" in err
+
+
+def test_cli_enumerate_at_large_rank_answers_within_a_second(capsys):
+    # the guard measures l(w) without listing all l(w) inversions
+    w0 = ",".join(map(str, range(4000, 0, -1)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", w0)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "length 7998000 exceeds" in err
+
+    identity = ",".join(map(str, range(1, 8001)))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "enumerate", identity)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out.splitlines()[-1] == "1"
 
 
 def test_cli_flipgraph(capsys):

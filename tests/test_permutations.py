@@ -12,7 +12,12 @@ from elnitsky import (
     weak_leq,
 )
 
-from helpers import bruhat_leq_by_subwords, naive_contains, symmetric_group
+from helpers import (
+    bruhat_leq_by_subwords,
+    inversions_by_pairs,
+    naive_contains,
+    symmetric_group,
+)
 
 perms = st.integers(2, 6).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(
@@ -66,6 +71,14 @@ def test_inversions_examples():
     assert inversions(Permutation((2, 1, 3))) == {(1, 2)}
     assert inversions(Permutation((3, 2, 1))) == {(1, 2), (1, 3), (2, 3)}
     assert len(inversions(Permutation.from_string("7456312"))) == 17
+
+
+def test_inversions_and_length_match_every_pair_tested_on_s1_to_s6():
+    for n in range(1, 7):
+        for w in symmetric_group(n):
+            expected = inversions_by_pairs(w)
+            assert inversions(w) == expected
+            assert w.length() == len(expected)
 
 
 @given(perms)

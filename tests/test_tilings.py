@@ -26,7 +26,7 @@ from elnitsky import (
 )
 from elnitsky.tilings import polygon_vertices, prefix_sets
 
-from helpers import some_reduced_word, symmetric_group
+from helpers import sample_permutations, some_reduced_word, symmetric_group
 
 LONG_WORD = Word((3, 4, 2, 5, 6, 5, 3, 4, 3, 2, 1, 5, 2, 3, 6, 4, 5), 7)
 
@@ -120,9 +120,20 @@ def test_enumerate_counts():
     assert empty.tiles == frozenset()
 
 
-def test_enumeration_matches_oracle_bijection_s4():
-    for w in symmetric_group(4):
-        assert len(enumerate_rhombic(w)) == len(commutation_classes(w))
+def grown_from_each_class(w):
+    return {word_to_tiling(c.representative) for c in commutation_classes(w)}
+
+
+def test_enumeration_matches_oracle_bijection_s1_to_s5():
+    for n in range(1, 6):
+        for w in symmetric_group(n):
+            assert enumerate_rhombic(w) == grown_from_each_class(w)
+
+
+@pytest.mark.long
+def test_enumeration_matches_oracle_bijection_sampled_s6():
+    for w in sample_permutations(6, 12, seed=20261018):
+        assert enumerate_rhombic(w) == grown_from_each_class(w)
 
 
 def test_enumeration_guard():

@@ -30,7 +30,12 @@ from elnitsky import (
 from elnitsky.flips import apply_flip, coarsen_flip, flip_sites
 from elnitsky.tilings import edges_of as rhombic_edges_of
 
-from helpers import coarsening_order_by_pairs, sample_permutations, symmetric_group
+from helpers import (
+    coarsening_order_by_pairs,
+    sample_permutations,
+    symmetric_group,
+    zonotopal_tile_sets,
+)
 
 HEX_TILING = ZonoTiling(
     Permutation((3, 2, 1)), frozenset({ZonoTile((1, 2, 3), frozenset())})
@@ -96,6 +101,29 @@ def test_enumerate_small():
     z4 = enumerate_zonotopal(Permutation.longest(4))
     assert len(z4) == 17
     assert OCT_TILING in z4
+
+
+def tile_sets(tilings):
+    return {frozenset((t.labels, t.base) for t in Z.tiles) for Z in tilings}
+
+
+def check_against_the_memoized_search(w):
+    expected = zonotopal_tile_sets(w)
+    assert tile_sets(enumerate_zonotopal(w)) == expected
+    rhombic = {s for s in expected if all(len(labels) == 2 for labels, _ in s)}
+    assert tile_sets(enumerate_rhombic(w)) == rhombic
+
+
+def test_enumeration_matches_the_memoized_search_on_s1_to_s5():
+    for n in range(1, 6):
+        for w in symmetric_group(n):
+            check_against_the_memoized_search(w)
+
+
+@pytest.mark.long
+def test_enumeration_matches_the_memoized_search_sampled_s6():
+    for w in sample_permutations(6, 12, seed=20261018) + [Permutation.longest(6)]:
+        check_against_the_memoized_search(w)
 
 
 def test_enumerate_guards():
