@@ -24,10 +24,10 @@ from .tilings import (
     ZonoTiling,
     all_words,
     enumerate_rhombic,
+    polygon_vertices,
     prefix_sets,
     tiling_digest,
     tiling_to_word,
-    polygon_vertices,
     validation_error,
     word_to_tiling,
 )

@@ -90,26 +90,27 @@ class ZonoTile:
 
     def corners(self) -> tuple[LabelSet, ...]:
         """The 2k corners in cyclic order: up the increasing side from the
-        base to the top, then back down the decreasing side."""
-        lower = [self.base]
+        base to the top, adding labels smallest first, then back down the
+        decreasing side, removing them smallest first."""
+        out = [self.base]
         for x in self.labels:
-            lower.append(lower[-1] | {x})
-        upper = [self.base]
-        for x in self.labels[:0:-1]:
-            upper.append(upper[-1] | {x})
-        return tuple(lower + upper[:0:-1])
+            out.append(out[-1] | {x})
+        for x in self.labels[:-1]:
+            out.append(out[-1] - {x})
+        return tuple(out)
 
     def vertices(self) -> frozenset[LabelSet]:
         return frozenset(self.corners())
 
     def edges(self) -> tuple[Edge, ...]:
-        """The 2k boundary edges, labels in increasing order along each side:
-        up the lower side from corner 0, and up the upper side from corner 0
-        back to corner k, whose tails are the corners after k."""
-        c = self.corners()
-        k = len(self.labels)
-        tails = c[:k] + c[k + 1 :] + c[:1]
-        return tuple(Edge(t, x) for t, x in zip(tails, self.labels * 2))
+        """The 2k boundary edges: up the lower path, then up the upper path."""
+        out = []
+        for seq in (self.labels, self.labels[::-1]):
+            tail = self.base
+            for x in seq:
+                out.append(Edge(tail, x))
+                tail = tail | {x}
+        return tuple(out)
 
     def __repr__(self) -> str:
         base = ", ".join(map(str, sorted(self.base)))
@@ -120,15 +121,9 @@ class Rhombus(ZonoTile):
     """A tile with exactly two labels, its `pair`."""
 
     def __post_init__(self):
-        # ZonoTile.__post_init__ for k = 2 without the sort: flip search and
-        # growth build many rhombi
+        super().__post_init__()
         if len(self.labels) != 2:
             raise ValueError(f"a rhombus needs exactly 2 labels, got {list(self.labels)}")
-        a, b = self.labels
-        if a == b:
-            raise ValueError(f"repeated tile label in {[a, b]}")
-        object.__setattr__(self, "labels", (a, b) if a < b else (b, a))
-        object.__setattr__(self, "base", frozenset(self.base))
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -432,16 +427,14 @@ def validation_error(T: ZonoTiling) -> str | None:
                 f"tile base {sorted(tile.base)} not disjoint from labels"
                 f" {list(tile.labels)}"
             )
-    pairs = [pair for t in T.tiles for pair in combinations(t.labels, 2)]
-    covered = set(pairs)
-    if len(covered) < len(pairs):
-        dup = min(pair for pair, count in Counter(pairs).items() if count > 1)
-        return f"pair {dup} covered by more than one tile"
     inv_w = inversions(T.w)
-    extra = covered - inv_w
-    if extra:
-        return f"pair {min(extra)} is not an inversion of {T.w.to_string()}"
-    missing = inv_w - covered
+    covered = Counter(pair for t in T.tiles for pair in combinations(t.labels, 2))
+    for pair, count in sorted(covered.items()):
+        if pair not in inv_w:
+            return f"pair {pair} is not an inversion of {T.w.to_string()}"
+        if count > 1:
+            return f"pair {pair} covered by more than one tile"
+    missing = inv_w - covered.keys()
     if missing:
         return f"inversion {min(missing)} not covered by any tile"
     if not peel_order_exists(

@@ -5,6 +5,7 @@ import pytest
 from elnitsky import (
     GuardExceeded,
     Permutation,
+    RhombicTiling,
     Word,
     ZonoPoset,
     ZonoTile,
@@ -28,7 +29,7 @@ from elnitsky import (
     zono_validation_error,
 )
 from elnitsky.flips import apply_flip, coarsen_flip, flip_sites
-from elnitsky.tilings import edges_of as rhombic_edges_of
+from elnitsky.tilings import edges_of as rhombic_edges_of, validation_error
 
 from helpers import (
     coarsening_order_by_pairs,
@@ -315,6 +316,23 @@ def test_validation_errors():
         Permutation((2, 1)), frozenset({ZonoTile((1, 5), frozenset())})
     )
     assert "outside" in zono_validation_error(out_of_range)
+
+
+@pytest.mark.parametrize("kind", [ZonoTiling, RhombicTiling])
+def test_validation_reports_the_least_bad_pair_first(kind):
+    """With several bad pairs, the least is named; a pair that is both
+    outside inv(w) and doubled is named as not an inversion."""
+
+    def tiling(w, *tiles):
+        return kind(Permutation(w), frozenset(kind.tile_type(*t) for t in tiles))
+
+    e = frozenset()
+    same = tiling((1, 2, 3), ((1, 2), e), ((1, 2), {3}))
+    assert validation_error(same) == "pair (1, 2) is not an inversion of 123"
+    extra_first = tiling((1, 3, 2), ((1, 2), e), ((2, 3), e), ((2, 3), {1}))
+    assert validation_error(extra_first) == "pair (1, 2) is not an inversion of 132"
+    doubled_first = tiling((2, 1, 3), ((1, 2), e), ((1, 2), {3}), ((1, 3), e))
+    assert validation_error(doubled_first) == "pair (1, 2) covered by more than one tile"
 
 
 def test_enumerated_tilings_all_validate():
