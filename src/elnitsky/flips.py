@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .permutations import Permutation
 from .tilings import (
@@ -41,22 +42,30 @@ INTERIOR_AC = "interior-ac"
 
 
 def _triple(labels: tuple[int, int, int], base: LabelSet, orientation: str):
+    """The three rhombi of a hexagon in one orientation, as (pair, base) keys."""
     a, b, c = labels
     if orientation == INTERIOR_B:
-        return frozenset(
-            {
-                Rhombus((a, b), base),
-                Rhombus((b, c), base),
-                Rhombus((a, c), base | {b}),
-            }
-        )
-    return frozenset(
-        {
-            Rhombus((a, c), base),
-            Rhombus((b, c), base | {a}),
-            Rhombus((a, b), base | {c}),
-        }
-    )
+        return frozenset({((a, b), base), ((b, c), base), ((a, c), base | {b})})
+    return frozenset({((a, c), base), ((b, c), base | {a}), ((a, b), base | {c})})
+
+
+def _tile_keys(T: RhombicTiling) -> frozenset:
+    return frozenset((t.labels, t.base) for t in T.tiles)
+
+
+def _hexagons(keys: frozenset, n: int, orientation: str):
+    """(labels, base) of every hexagon that the tile keys fill in `orientation`,
+    found from its {a, b} rhombus (interior-b) or its {a, c} rhombus
+    (interior-ac), the one of the three that sits at the hexagon's base."""
+    for (x, y), S in keys:
+        if orientation == INTERIOR_B:
+            for c in range(y + 1, n + 1):
+                if ((y, c), S) in keys and ((x, c), S | {y}) in keys:
+                    yield (x, y, c), S
+        else:
+            for b in range(x + 1, y):
+                if ((b, y), S | {x}) in keys and ((x, b), S | {y}) in keys:
+                    yield (x, b, y), S
 
 
 @dataclass(frozen=True)
@@ -82,7 +91,10 @@ class FlipSite:
 
     def tiles(self) -> frozenset[Rhombus]:
         """The three rhombi of the present orientation."""
-        return _triple(self.labels, self.base, self.orientation)
+        return frozenset(
+            Rhombus(pair, base)
+            for pair, base in _triple(self.labels, self.base, self.orientation)
+        )
 
     def flipped_tiles(self) -> frozenset[Rhombus]:
         return self.flipped().tiles()
@@ -101,20 +113,12 @@ class FlipSite:
 def flip_sites(T: RhombicTiling) -> frozenset[FlipSite]:
     """All flippable hexagons of T (equivalently, all degree-3 interior
     vertices), each reported with its present orientation."""
-    tiles = T.tiles
-    found = []
-    for t in tiles:
-        x, y = t.pair
-        S = t.base
-        # t as the {a,b} tile of an interior-b hexagon
-        for c in range(y + 1, T.n + 1):
-            if Rhombus((y, c), S) in tiles and Rhombus((x, c), S | {y}) in tiles:
-                found.append(FlipSite((x, y, c), S, INTERIOR_B))
-        # t as the {a,c} tile of an interior-ac hexagon
-        for b in range(x + 1, y):
-            if Rhombus((b, y), S | {x}) in tiles and Rhombus((x, b), S | {y}) in tiles:
-                found.append(FlipSite((x, b, y), S, INTERIOR_AC))
-    return frozenset(found)
+    keys = _tile_keys(T)
+    return frozenset(
+        FlipSite(labels, base, orientation)
+        for orientation in (INTERIOR_B, INTERIOR_AC)
+        for labels, base in _hexagons(keys, T.n, orientation)
+    )
 
 
 def _present_orientation(T: RhombicTiling, f: FlipSite) -> FlipSite:
@@ -161,6 +165,7 @@ class FlipGraph:
 
     @cached_property
     def by_digest(self) -> dict[str, RhombicTiling]:
+        """Digest -> node; `flip_graph` fills it with the digests it computed."""
         return {tiling_digest(T): T for T in self.nodes}
 
     @cached_property
@@ -179,14 +184,35 @@ class FlipGraph:
 
 
 def flip_graph(w: Permutation) -> FlipGraph:
-    nodes = sorted(enumerate_rhombic(w), key=tiling_digest)
-    arcs = set()
-    for T in nodes:
-        d = tiling_digest(T)
-        for f in flip_sites(T):
-            d2 = tiling_digest(apply_flip(T, f))
-            arcs.add((d, d2) if d < d2 else (d2, d))
-    return FlipGraph(w, tuple(nodes), frozenset(arcs))
+    """The flip graph of E(w), digesting each tiling exactly once.
+
+    Tilings are keyed by their sets of (pair, base) tile keys, and each key
+    set's digest is computed once; the flipped key set of every hexagon is
+    looked up in the same map, and `by_digest` is filled from it.
+
+    Every arc is found once.  Two tilings one flip apart differ exactly over
+    one hexagon, which one of them fills in the interior-b orientation and
+    the other in the interior-ac orientation.  So the arc is met from the
+    first tiling when only interior-b hexagons are flipped, and from no other
+    tiling or hexagon.
+    """
+    rows = sorted(
+        ((tiling_digest(T), _tile_keys(T), T) for T in enumerate_rhombic(w)),
+        key=itemgetter(0),
+    )
+    digest_of = {keys: d for d, keys, _ in rows}
+    arcs = []
+    for d, keys, _ in rows:
+        for labels, base in _hexagons(keys, w.n, INTERIOR_B):
+            flipped = (keys - _triple(labels, base, INTERIOR_B)) | _triple(
+                labels, base, INTERIOR_AC
+            )
+            d2 = digest_of[flipped]
+            arcs.append((d, d2) if d < d2 else (d2, d))
+    g = FlipGraph(w, tuple(T for _, _, T in rows), frozenset(arcs))
+    # fill the cached property, so by_digest and adjacency digest nothing again
+    g.__dict__["by_digest"] = {d: T for d, _, T in rows}
+    return g
 
 
 def is_connected(g: FlipGraph) -> bool:

@@ -5,7 +5,7 @@ code under test: inversions by testing every pair, pattern containment by
 brute subsequence scan, Bruhat order by the subword property, fixed-point
 images by the wiring model, tilings by a memoized search over partial tile
 sets, census-constrained tilings by a fresh bounded search, and the
-coarsening poset by comparing every pair of tilings.
+coarsening poset and the flip graph by comparing every pair of tilings.
 """
 from itertools import combinations, permutations as value_tuples
 
@@ -17,6 +17,7 @@ from elnitsky import (
     apply_simple,
     evaluate,
     reduced_words,
+    tiling_digest,
     tiling_to_word,
 )
 
@@ -197,6 +198,18 @@ def coarsening_order_by_pairs(p):
     maximal = frozenset(z for z, ups in above.items() if not ups)
     minimal = frozenset(p.elements) - {y for ups in above.values() for y in ups}
     return covers, maximal, minimal
+
+
+def flip_arcs_by_pairs(tilings):
+    """Flip-graph arcs as digest pairs (low, high), by comparing every pair of
+    rhombic tilings: two are one flip apart when their tile sets differ by
+    exactly three rhombi on each side."""
+    digested = [(tiling_digest(T), T.tiles) for T in tilings]
+    return frozenset(
+        (min(d1, d2), max(d1, d2))
+        for (d1, A), (d2, B) in combinations(digested, 2)
+        if len(A - B) == 3 and len(B - A) == 3
+    )
 
 
 def sample_permutations(n, count, seed):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elnitsky import (
     INTERIOR_AC,
@@ -13,6 +14,7 @@ from elnitsky import (
     enumerate_rhombic,
     flip_graph,
     flip_sites,
+    from_rhombic,
     is_connected,
     refinements,
     tiling_digest,
@@ -24,7 +26,7 @@ from elnitsky import (
 )
 from elnitsky.tilings import polygon_vertices
 
-from helpers import symmetric_group
+from helpers import flip_arcs_by_pairs, symmetric_group
 
 T121 = word_to_tiling(Word((1, 2, 1), 3))
 T212 = word_to_tiling(Word((2, 1, 2), 3))
@@ -177,3 +179,41 @@ def test_graph_nodes_are_digest_sorted():
     g = flip_graph(Permutation.longest(4))
     digests = [tiling_digest(T) for T in g.nodes]
     assert digests == sorted(digests)
+
+
+def test_flip_graph_matches_the_pairwise_arcs_on_s1_to_s5():
+    for n in range(1, 6):
+        for w in symmetric_group(n):
+            g = flip_graph(w)
+            assert g.arcs == flip_arcs_by_pairs(g.nodes)
+
+
+def test_flip_graph_of_w0_6_matches_the_pairwise_arcs():
+    g = flip_graph(Permutation.longest(6))
+    assert len(g.nodes) == 908  # OEIS A006245
+    assert len(g.arcs) == 2144
+    assert g.arcs == flip_arcs_by_pairs(g.nodes)
+
+
+@st.composite
+def longest_element_words(draw):
+    """A random reduced word of w0 in S5 or S6: from the identity, swap any
+    increasing adjacent pair until none is left."""
+    n = draw(st.sampled_from((5, 6)))
+    values = list(range(1, n + 1))
+    letters = []
+    while ascents := [i for i in range(1, n) if values[i - 1] < values[i]]:
+        i = draw(st.sampled_from(ascents))
+        values[i - 1], values[i] = values[i], values[i - 1]
+        letters.append(i)
+    return Word(tuple(letters), n)
+
+
+@given(longest_element_words())
+@settings(max_examples=40, deadline=None)
+def test_coarsened_flip_sites_refine_to_both_partners_property(word):
+    T = word_to_tiling(word)
+    assert T.w == Permutation.longest(word.n)
+    assert refinements(from_rhombic(T)) == {T}
+    for f in flip_sites(T):
+        assert refinements(coarsen_flip(T, f)) == {T, apply_flip(T, f)}

@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import elnitsky.flips
 from elnitsky import (
     Coloring,
     Permutation,
@@ -17,11 +18,13 @@ from elnitsky import (
     Word,
     ZonoTile,
     ZonoTiling,
+    enumerate_rhombic,
     main,
     parse_permutation,
     parse_tiling,
     parse_word,
     render_svg,
+    tiling_digest,
     vertex_position,
     word_to_tiling,
 )
@@ -395,6 +398,60 @@ def test_cli_poset(capsys):
     code, out, _ = run(capsys, "poset", "4231")
     assert "unique_max false" in out.splitlines()
     assert "avoids_4231_4312_3421 false" in out.splitlines()
+
+
+FLIPGRAPH_STDOUT_SHA256 = {
+    "4321": "8d0f408f6ef991ec1b88e2d381c87e3fe2283b1634ea8496e6f4d35c28d92230",
+    "4321 --dot": "b7638822f25539e3487527c23af7dcf553174f96d03b6416a0b56c6f78a744d9",
+    "54321": "0ef059d7a3f2829a95dfb6c08702230ed61f1767a359f1707d342f4589345913",
+    "2143": "81a7a2b998f6ac43deba3e692a6085c8fa1c1ad09b87b9811815caef89906b08",
+}
+
+
+@pytest.mark.parametrize("args", sorted(FLIPGRAPH_STDOUT_SHA256))
+def test_cli_flipgraph_output_is_pinned(capsys, args):
+    code, out, _ = run(capsys, "flipgraph", *args.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FLIPGRAPH_STDOUT_SHA256[args]
+
+
+@pytest.mark.parametrize("extra", [(), ("--dot",)])
+def test_cli_flipgraph_digests_each_tiling_once(capsys, monkeypatch, extra):
+    calls = []
+
+    def counted(tiling):
+        calls.append(tiling)
+        return tiling_digest(tiling)
+
+    monkeypatch.setattr(elnitsky.flips, "tiling_digest", counted)
+    code, _, _ = run(capsys, "flipgraph", "54321", *extra)
+    assert code == 0
+    assert len(calls) == 62
+
+
+def test_cli_flipgraph_at_the_length_guard_edge(capsys):
+    enumerate_rhombic.cache_clear()
+    start = time.perf_counter()
+    code, out, err = run(capsys, "flipgraph", "7654312")
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    adjacency = {}
+    for line in out.splitlines():
+        digest, _, neighbors = line.partition(":")
+        adjacency[digest] = neighbors.split()
+    assert len(adjacency) == 6888
+    assert sum(map(len, adjacency.values())) == 2 * 20990
+    for digest, neighbors in adjacency.items():
+        assert all(digest in adjacency[other] for other in neighbors)
+    seen = {next(iter(adjacency))}
+    stack = list(seen)
+    while stack:
+        for other in adjacency[stack.pop()]:
+            if other not in seen:
+                seen.add(other)
+                stack.append(other)
+    assert len(seen) == len(adjacency)
+    assert elapsed < 6
 
 
 POSET_STDOUT_SHA256 = {
