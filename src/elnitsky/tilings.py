@@ -14,7 +14,9 @@ commutation classes of reduced words mechanical:
   the edge labels from the bottom vertex) from the identity to w, emitting
   one rhombus per letter;
 * peeling a tiling reads letters back off, one per tile that sits on the
-  current boundary.
+  current boundary.  Validation and word extraction share one greedy peel,
+  smallest position first: a sitting tile stays sitting until it is peeled,
+  so greedy gets stuck iff no peeling order exists (see `_greedy_peel`).
 
 Tile-set equality is the canonical form of a commutation class: two reduced
 words grow the same tile set iff they differ by commutation moves.
@@ -252,39 +254,64 @@ def word_to_tiling(word: Word) -> RhombicTiling:
 # ---------------------------------------------------------------------------
 # peeling: tiling -> word
 #
-# A tile (labels, base) sits on the boundary u when the base is a prefix of u
-# and the labels continue it in increasing order; peeling it reverses that
-# segment of u.
+# A tile (labels, base) sits on the boundary u, a tuple of values, when the
+# base is a prefix of u and the labels continue it in increasing order;
+# peeling it reverses that segment of u.  One greedy loop, `_greedy_peel`,
+# serves `tiling_to_word`, `all_words` and `validation_error`.
 
-def peel_position(u: Permutation, labels: tuple[int, ...], base: LabelSet) -> int | None:
+def peel_position(u: tuple[int, ...], tile: ZonoTile) -> int | None:
     """0-based prefix length at which the tile sits on u, or None."""
-    p = len(base)
-    k = len(labels)
-    if p + k > u.n:
-        return None
-    if u.values[p : p + k] != labels:
-        return None
-    if frozenset(u.values[:p]) != base:
-        return None
-    return p
+    p = len(tile.base)
+    if u[p : p + tile.size] == tile.labels and frozenset(u[:p]) == tile.base:
+        return p
+    return None
 
 
-def peel_apply(u: Permutation, position: int, size: int) -> Permutation:
+def peel_apply(u: tuple[int, ...], position: int, size: int) -> tuple[int, ...]:
     """Advance the boundary across a tile: reverse the segment after `position`."""
-    vals = list(u.values)
-    vals[position : position + size] = reversed(vals[position : position + size])
-    return Permutation(tuple(vals))
+    return u[:position] + u[position : position + size][::-1] + u[position + size :]
 
 
-def _peelable_rhombi(u: Permutation, tiles) -> list[tuple[int, Rhombus]]:
-    """(letter, tile) pairs currently sitting on the boundary u, letter-sorted."""
-    found = []
-    for tile in tiles:
-        p = peel_position(u, tile.labels, tile.base)
-        if p is not None:
-            found.append((p + 1, tile))
+def _sitting(u: tuple[int, ...], tiles) -> list[tuple[int, ZonoTile]]:
+    """(position, tile) for every tile sitting on u, by position."""
+    found = [(p, t) for t in tiles if (p := peel_position(u, t)) is not None]
     found.sort(key=lambda x: x[0])
     return found
+
+
+def _greedy_peel(T: ZonoTiling) -> tuple[list[int], tuple[int, ...]]:
+    """Peel the sitting tile at the smallest position until none sits.
+
+    Returns the positions peeled and the boundary reached.  Some order peels
+    every tile iff this one does, with no hypothesis on the tiles:
+
+    * A peel reverses an increasing run, so it inverts pairs of values and
+      never un-inverts one: once b precedes a < b, it does for good.
+    * Let A sit at position p, labels l1 < ... < lk, and let s be a complete
+      order.  The first peel C in s that touches A's segment p..p+k-1 is A:
+      earlier peels lie wholly left or right of it, so A still sits there
+      when C comes.  If C != A covered two positions of the segment, it
+      would invert two of A's labels.  Otherwise C meets the segment in one
+      end.  Ending at p, it moves l1 ahead of the smaller value at p-1,
+      which is in A's base and must precede l1.  Starting at p+k-1, it moves
+      a value larger than lk, in neither A's base nor its labels, ahead of
+      lk.  Either way A could never sit again.
+    * The peels before A in s miss its segment, so peeling A first changes
+      neither their positions nor their bases: A, then s without A, is
+      complete too.
+
+    So any sitting tile may be peeled first, and from a tile set that some
+    order peels, every branch of `all_words` completes.
+    """
+    u = tuple(range(1, T.n + 1))
+    remaining = set(T.tiles)
+    positions = []
+    while sitting := _sitting(u, remaining):
+        p, tile = sitting[0]
+        positions.append(p)
+        remaining.remove(tile)
+        u = peel_apply(u, p, tile.size)
+    return positions, u
 
 
 def tiling_to_word(T: RhombicTiling) -> Word:
@@ -293,37 +320,31 @@ def tiling_to_word(T: RhombicTiling) -> Word:
     The result is the lexicographically least reduced word of T's commutation
     class, and word_to_tiling(result) == T.
     """
-    u = Permutation.identity(T.n)
-    remaining = set(T.tiles)
-    letters = []
-    while remaining:
-        moves = _peelable_rhombi(u, remaining)
-        if not moves:
-            raise ValueError(
-                f"malformed tiling: no tile sits on the boundary {u.to_string()}"
-            )
-        letter, tile = moves[0]
-        letters.append(letter)
-        remaining.remove(tile)
-        u = apply_simple(u, letter)
-    return Word(tuple(letters), T.n)
+    positions, u = _greedy_peel(T)
+    if len(positions) < len(T.tiles):
+        boundary = Permutation(u).to_string()
+        raise ValueError(f"malformed tiling: no tile sits on the boundary {boundary}")
+    return Word(tuple(p + 1 for p in positions), T.n)
 
 
 def all_words(T: RhombicTiling) -> frozenset[Word]:
-    """All peeling orders of T: the full commutation class of its words."""
+    """All peeling orders of T: the full commutation class of its words.
+
+    The greedy peel refuses a tile set no order peels; after it, every
+    branch of the walk completes, so its cost follows its output.
+    """
     check_length_guard(len(T.tiles), "peeling-order enumeration")
-    results: set[tuple[int, ...]] = set()
-
-    def peel(u: Permutation, remaining: frozenset[Rhombus], acc: tuple[int, ...]):
-        if not remaining:
-            results.add(acc)
-            return
-        for letter, tile in _peelable_rhombi(u, remaining):
-            peel(apply_simple(u, letter), remaining - {tile}, acc + (letter,))
-
-    peel(Permutation.identity(T.n), T.tiles, ())
-    if not results:
+    if len(_greedy_peel(T)[0]) < len(T.tiles):
         raise ValueError("malformed tiling: no complete peeling order exists")
+    results: list[tuple[int, ...]] = []
+
+    def peel(u: tuple[int, ...], remaining: frozenset[Rhombus], acc: tuple[int, ...]):
+        if not remaining:
+            results.append(acc)
+        for p, tile in _sitting(u, remaining):
+            peel(peel_apply(u, p, tile.size), remaining - {tile}, acc + (p + 1,))
+
+    peel(tuple(range(1, T.n + 1)), T.tiles, ())
     return frozenset(Word(x, T.n) for x in results)
 
 
@@ -437,9 +458,7 @@ def validation_error(T: ZonoTiling) -> str | None:
     missing = inv_w - covered.keys()
     if missing:
         return f"inversion {min(missing)} not covered by any tile"
-    if not peel_order_exists(
-        Permutation.identity(n), frozenset((t.labels, t.base) for t in T.tiles)
-    ):
+    if len(_greedy_peel(T)[0]) < len(T.tiles):
         return "tiles do not admit any peeling order from the base boundary"
     return None
 
@@ -447,28 +466,6 @@ def validation_error(T: ZonoTiling) -> str | None:
 def validate(T: ZonoTiling) -> bool:
     """True iff T's tiles cover inversions(w) once each and a peeling order exists."""
     return validation_error(T) is None
-
-
-def peel_order_exists(
-    start: Permutation, tiles: frozenset[tuple[tuple[int, ...], LabelSet]]
-) -> bool:
-    """Search for a complete peeling order; memoizes dead remainder sets."""
-    dead: set[frozenset] = set()
-
-    def peel(u: Permutation, remaining: frozenset) -> bool:
-        if not remaining:
-            return True
-        if remaining in dead:
-            return False
-        for labels, base in remaining:
-            p = peel_position(u, labels, base)
-            if p is not None:
-                if peel(peel_apply(u, p, len(labels)), remaining - {(labels, base)}):
-                    return True
-        dead.add(remaining)
-        return False
-
-    return peel(start, tiles)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,16 @@ Everything here recomputes results by a different route than the library
 code under test: inversions by testing every pair, pattern containment by
 brute subsequence scan, Bruhat order by the subword property, fixed-point
 images by the wiring model, tilings by a memoized search over partial tile
-sets, census-constrained tilings by a fresh bounded search, and the
-coarsening poset and the flip graph by comparing every pair of tilings.
+sets, census-constrained tilings by a fresh bounded search, peelability by
+a backtracking search over peeling orders, and the coarsening poset and the
+flip graph by comparing every pair of tilings.
 """
 from itertools import combinations, permutations as value_tuples
 
 from elnitsky import (
     Permutation,
+    RhombicTiling,
+    Rhombus,
     Word,
     ZonoTile,
     ZonoTiling,
@@ -132,6 +135,43 @@ def zonotopal_tile_sets(w):
 
     grow(Permutation.identity(w.n), frozenset())
     return found
+
+
+def peel_order_by_search(n, tiles):
+    """Whether some order peels every tile of (labels, base) pairs off the
+    base boundary of rank n: backtracking over orders, with a memo of the
+    remainder sets from which no order completes.  A tile sits on the
+    boundary u when u lists its base first, in any order, and then its
+    labels in increasing order; peeling it reverses those labels in u."""
+    dead = set()
+
+    def peel(u, remaining):
+        if not remaining:
+            return True
+        if remaining in dead:
+            return False
+        for labels, base in remaining:
+            p, q = len(base), len(base) + len(labels)
+            if set(u[:p]) == base and u[p:q] == labels:
+                if peel(u[:p] + labels[::-1] + u[q:], remaining - {(labels, base)}):
+                    return True
+        dead.add(remaining)
+        return False
+
+    return peel(tuple(range(1, n + 1)), frozenset(tiles))
+
+
+def unpeelable_pairs_tiling(k):
+    """Rhombi for the k commuting inversions of w = 2,1,4,3,...,2k,2k-1:
+    pair (2i-1, 2i) on its true base {1..2i-2} for i >= 2, and pair (1, 2)
+    on base {3}.  Every pair check passes, but no peeling order exists, and
+    the other k-1 rhombi can be peeled in 2^(k-1) subsets."""
+    w = Permutation(tuple(v for i in range(1, k + 1) for v in (2 * i, 2 * i - 1)))
+    tiles = {Rhombus((1, 2), frozenset({3}))} | {
+        Rhombus((2 * i - 1, 2 * i), frozenset(range(1, 2 * i - 1)))
+        for i in range(2, k + 1)
+    }
+    return RhombicTiling(w, frozenset(tiles))
 
 
 def census_tiling(w, budget):

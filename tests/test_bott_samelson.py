@@ -3,6 +3,7 @@ from collections import Counter
 from math import comb, factorial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from elnitsky import (
     Coloring,
@@ -25,6 +26,7 @@ from elnitsky import (
     q_factorial,
     realize_fixed_point,
     stratum_dimension,
+    tiling_digest,
     tiling_to_word,
     vertices_of,
     word_to_tiling,
@@ -187,14 +189,38 @@ def test_fixed_point_assignment_invariants():
                     assert fp.assignment[flag] == flag
 
 
-def test_realization_is_independent_of_the_growth_order():
-    for T in (T121, next(iter(enumerate_rhombic(Permutation.longest(4))))):
-        striped = Coloring.from_bits(T, ("10" * len(T.tiles))[: len(T.tiles)])
-        for c in (Coloring.all_dark(T), striped):
-            reference = realize_fixed_point(T, c).assignment
-            for word in all_words(T):
-                fp = realize_fixed_point(T, c, peel_order=word)
-                assert fp.assignment == reference
+W0_4_TILING = min(enumerate_rhombic(Permutation.longest(4)), key=tiling_digest)
+
+
+def sorted_words(T):
+    return sorted(all_words(T), key=lambda v: v.letters)
+
+
+@st.composite
+def colored_tilings_with_words(draw):
+    """A random rhombic tiling of S4 or S5, a random coloring of it and a few
+    random words of its commutation class."""
+    n = draw(st.integers(4, 5))
+    w = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+    T = draw(st.sampled_from(sorted(enumerate_rhombic(w), key=tiling_digest)))
+    l = len(T.tiles)
+    bits = "".join(draw(st.lists(st.sampled_from("01"), min_size=l, max_size=l)))
+    words = draw(st.lists(st.sampled_from(sorted_words(T)), min_size=1, max_size=4))
+    return T, bits, words
+
+
+@given(colored_tilings_with_words())
+@example((T121, "111", sorted_words(T121)))
+@example((T121, "101", sorted_words(T121)))
+@example((W0_4_TILING, "111111", sorted_words(W0_4_TILING)))
+@example((W0_4_TILING, "101010", sorted_words(W0_4_TILING)))
+@settings(max_examples=100, deadline=None)
+def test_realization_is_independent_of_the_growth_order(case):
+    T, bits, words = case
+    c = Coloring.from_bits(T, bits)
+    reference = realize_fixed_point(T, c).assignment
+    for word in words:
+        assert realize_fixed_point(T, c, peel_order=word).assignment == reference
 
 
 def test_realization_rejects_mismatched_input():

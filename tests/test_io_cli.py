@@ -29,6 +29,8 @@ from elnitsky import (
     word_to_tiling,
 )
 
+from helpers import unpeelable_pairs_tiling
+
 T21 = word_to_tiling(Word((1,), 2))
 T121 = word_to_tiling(Word((1, 2, 1), 3))
 T121_JSON = T121.to_json()
@@ -332,6 +334,21 @@ def test_cli_words_accepts_rhombic_spelled_zonotopal(tmp_path, capsys):
     code, out, _ = run(capsys, "words", str(path))
     assert code == 0
     assert out == "1,2,1\n"
+
+
+def test_cli_refuses_an_unpeelable_tiling_at_once(tmp_path, capsys):
+    # 2^(k-1) subsets of the rhombi can be peeled, but never all; k = 40 is rank 80
+    for k in (19, 40):
+        path = tmp_path / f"pairs{k}.json"
+        path.write_text(unpeelable_pairs_tiling(k).to_json())
+        for command in ("words", "poincare"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, command, str(path))
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (1, "")
+            assert err == (
+                "error: tiles do not admit any peeling order from the base boundary\n"
+            )
 
 
 def test_cli_enumerate(capsys):

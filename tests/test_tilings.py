@@ -1,7 +1,9 @@
 import json
+import time
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from elnitsky import (
     Edge,
@@ -11,10 +13,13 @@ from elnitsky import (
     RhombicTiling,
     Rhombus,
     Word,
+    ZonoTile,
+    ZonoTiling,
     all_words,
     commutation_classes,
     edges_of,
     enumerate_rhombic,
+    enumerate_zonotopal,
     inversions,
     reduced_words,
     tiling_digest,
@@ -26,9 +31,17 @@ from elnitsky import (
 )
 from elnitsky.tilings import polygon_vertices, prefix_sets
 
-from helpers import sample_permutations, some_reduced_word, symmetric_group
+from helpers import (
+    inversions_by_pairs,
+    peel_order_by_search,
+    sample_permutations,
+    some_reduced_word,
+    symmetric_group,
+    unpeelable_pairs_tiling,
+)
 
 LONG_WORD = Word((3, 4, 2, 5, 6, 5, 3, 4, 3, 2, 1, 5, 2, 3, 6, 4, 5), 7)
+PEEL_REFUSAL = "tiles do not admit any peeling order from the base boundary"
 
 
 def tilings_of(n):
@@ -148,6 +161,19 @@ def test_all_words_guard():
         all_words(big)
 
 
+def test_all_words_refuses_an_unpeelable_tile_set_at_once():
+    T = unpeelable_pairs_tiling(10)
+    assert len(T.tiles) == 10
+    assert validation_error(T) == PEEL_REFUSAL
+    with pytest.raises(ValueError, match="no tile sits on the boundary"):
+        tiling_to_word(T)
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as refused:
+        all_words(T)
+    assert time.perf_counter() - start < 0.1
+    assert str(refused.value) == "malformed tiling: no complete peeling order exists"
+
+
 def test_tile_count_is_length():
     for T in tilings_of(4):
         assert len(T.tiles) == T.w.length()
@@ -181,6 +207,50 @@ def test_validate_rejects_bad_tilings():
         Permutation((2, 1)), frozenset({Rhombus((1, 5), frozenset())})
     )
     assert "outside" in validation_error(out_of_range)
+
+
+@st.composite
+def mutated_zonotopal_tilings(draw):
+    """A zonotopal tiling of a random permutation of S3-S6, left as it is,
+    with one tile moved to another base disjoint from its labels, or with
+    the labels of two same-size tiles exchanged.  (Changing one tile's
+    labels alone always changes the pairs it covers.)"""
+    n = draw(st.integers(3, 6))
+    w = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+    tilings = sorted(enumerate_zonotopal(w), key=tiling_digest)
+    tiles = list(draw(st.sampled_from(tilings)).canonical_tiles())
+    kind = draw(st.sampled_from(("none", "base", "labels")))
+    if kind == "base" and tiles:
+        i = draw(st.integers(0, len(tiles) - 1))
+        others = [x for x in range(1, n + 1) if x not in tiles[i].labels]
+        keep = draw(st.lists(st.booleans(), min_size=len(others), max_size=len(others)))
+        base = frozenset(x for x, kept in zip(others, keep) if kept)
+        tiles[i] = ZonoTile(tiles[i].labels, base)
+    elif kind == "labels" and len(tiles) >= 2:
+        index = st.integers(0, len(tiles) - 1)
+        i, j = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+        assume(tiles[i].size == tiles[j].size)
+        a, b = tiles[i], tiles[j]
+        tiles[i], tiles[j] = ZonoTile(b.labels, a.base), ZonoTile(a.labels, b.base)
+    return ZonoTiling(w, frozenset(tiles))
+
+
+def passes_pair_checks(T):
+    """Every base disjoint from its labels, and every inversion of w covered
+    by exactly one tile and nothing else covered."""
+    pairs = sorted(pair for t in T.tiles for pair in combinations(t.labels, 2))
+    return all(t.base.isdisjoint(t.labels) for t in T.tiles) and pairs == sorted(
+        inversions_by_pairs(T.w)
+    )
+
+
+@given(mutated_zonotopal_tilings())
+@settings(max_examples=300, deadline=None)
+def test_greedy_validation_matches_the_backtracking_search(T):
+    assume(passes_pair_checks(T))
+    peelable = peel_order_by_search(T.n, {(t.labels, t.base) for t in T.tiles})
+    assert validate(T) == peelable
+    assert validation_error(T) == (None if peelable else PEEL_REFUSAL)
 
 
 def test_validate_accepts_every_growth_output():
