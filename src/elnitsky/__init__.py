@@ -60,13 +60,11 @@ from .permutations import (
     weak_leq,
 )
 from .tilings import (
-    Edge,
     RhombicTiling,
     Rhombus,
     ZonoTile,
     ZonoTiling,
     all_words,
-    edges_of,
     enumerate_rhombic,
     tiling_digest,
     tiling_to_word,
@@ -90,6 +88,5 @@ from .zonotopal import (
     zono_validate,
     zono_validation_error,
 )
-from .zonotopal import edges_of as zono_edges_of
 
 __version__ = "0.1.0"

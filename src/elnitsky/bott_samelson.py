@@ -4,7 +4,9 @@ A tiling with t_k tiles of 2k sides has Poincare polynomial
 prod_k [k]_q!^{t_k}, where [i]_q = 1 + q + ... + q^{i-1}.  For a rhombic
 tiling this is (1+q)^{l(w)}; its 2^{l(w)} light/dark colorings index
 torus-fixed points, and a sweep over distinct boundary flags finds their
-images, the Bruhat interval [e, w], in about l(w) |[e, w]| steps.
+images, the Bruhat interval [e, w], in about l(w) |[e, w]| steps.  A fixed
+point is realized one rhombus at a time, in growth order, and each rhombus's
+four vertices are read off its `corners()`, the one tile geometry.
 """
 from __future__ import annotations
 
@@ -17,9 +19,9 @@ from .tilings import (
     LabelSet,
     RhombicTiling,
     Rhombus,
+    grow_word,
     prefix_sets,
     tiling_to_word,
-    word_to_tiling,
 )
 
 __all__ = [
@@ -192,30 +194,13 @@ class FixedPoint:
     assignment: dict[LabelSet, LabelSet]
 
 
-def _growth_steps(T: RhombicTiling, word: Word):
-    """Per-letter vertex data (tile, bottom, old middle, top, new middle)."""
-    steps = []
-    u = Permutation.identity(T.n)
-    for letter in word:
-        vals = u.values
-        a, b = vals[letter - 1], vals[letter]
-        bottom = frozenset(vals[: letter - 1])
-        steps.append(
-            (
-                Rhombus((a, b), bottom),
-                bottom,
-                bottom | {a},
-                bottom | {a, b},
-                bottom | {b},
-            )
-        )
-        u = apply_simple(u, letter)
-    return steps
-
-
-def _propagate(steps, base_vertices, dark) -> dict[LabelSet, LabelSet]:
+def _propagate(tiles, base_vertices, dark) -> dict[LabelSet, LabelSet]:
+    """Index sets at every vertex, crossing `tiles` in growth order from the
+    identity boundary `base_vertices`; each rhombus's corners() are its
+    bottom, old middle, top and new middle."""
     assignment = {v: v for v in base_vertices}
-    for tile, bottom, middle_old, top, middle_new in steps:
+    for tile in tiles:
+        bottom, middle_old, top, middle_new = tile.corners()
         P = assignment[bottom]
         M = assignment[middle_old]
         Q = assignment[top]
@@ -231,22 +216,20 @@ def realize_fixed_point(
 ) -> FixedPoint:
     """Propagate index sets across T for the coloring c.
 
-    Sweeping tile by tile from the identity boundary: a light tile copies
-    the old middle subspace to the new middle vertex, a dark tile picks the
+    Sweeping tile by tile from the identity boundary, in the growth order of
+    `peel_order` (by default T's least word): a light tile copies the old
+    middle subspace to the new middle vertex, a dark tile picks the
     complementary index instead.  The result does not depend on which
     growth order `peel_order` picks.
     """
     if c.tiling != T:
         raise ValueError("coloring belongs to a different tiling")
-    if peel_order is None:
-        word = tiling_to_word(T)
-    else:
-        word = peel_order
-        if word_to_tiling(word) != T:
-            raise ValueError("peel order does not grow this tiling")
-    steps = _growth_steps(T, word)
+    word = tiling_to_word(T) if peel_order is None else peel_order
+    w, tiles = grow_word(word)
+    if w != T.w or frozenset(tiles) != T.tiles:
+        raise ValueError("peel order does not grow this tiling")
     base = prefix_sets(Permutation.identity(T.n))
-    return FixedPoint(_propagate(steps, base, c.dark))
+    return FixedPoint(_propagate(tiles, base, c.dark))
 
 
 def image_permutation(T: RhombicTiling, c: Coloring) -> Permutation:

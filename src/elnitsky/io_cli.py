@@ -26,7 +26,6 @@ from .tilings import (
     enumerate_rhombic,
     polygon_vertices,
     prefix_sets,
-    tiling_digest,
     tiling_to_word,
     validation_error,
     word_to_tiling,
@@ -278,7 +277,7 @@ _UNIQUE_MAX_PATTERNS = ((4, 2, 3, 1), (4, 3, 1, 2), (3, 4, 2, 1))
 def _cmd_poset(args) -> None:
     w = parse_permutation(args.w)
     p = poset(w)
-    digest_of = {z: tiling_digest(z) for z in p.elements}
+    digest_of = dict(zip(p.elements, p.digests))
     covers = sorted((digest_of[lo], digest_of[hi]) for lo, hi in p.covers)
     for lo, hi in covers:
         print(f"cover {lo} {hi}")

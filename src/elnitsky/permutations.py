@@ -134,17 +134,6 @@ class Word:
                     f"letter {letter} at position {k} outside 1..{self.n - 1}"
                 )
 
-    @classmethod
-    def from_string(cls, text: str, n: int) -> "Word":
-        text = text.strip()
-        if not text:
-            return cls((), n)
-        try:
-            letters = tuple(int(p.strip()) for p in text.split(","))
-        except ValueError:
-            raise ValueError(f"cannot parse word from {text!r}") from None
-        return cls(letters, n)
-
     def to_string(self) -> str:
         return ",".join(str(x) for x in self.letters)
 

@@ -27,7 +27,7 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .errors import (
@@ -44,7 +44,6 @@ __all__ = [
     "Rhombus",
     "ZonoTiling",
     "RhombicTiling",
-    "Edge",
     "word_to_tiling",
     "tiling_to_word",
     "all_words",
@@ -52,7 +51,6 @@ __all__ = [
     "enumerate_zonotopal",
     "validate",
     "validation_error",
-    "edges_of",
     "vertices_of",
     "tiling_digest",
 ]
@@ -91,9 +89,15 @@ class ZonoTile:
         return (self.labels, tuple(sorted(self.base)))
 
     def corners(self) -> tuple[LabelSet, ...]:
-        """The 2k corners in cyclic order: up the increasing side from the
-        base to the top, adding labels smallest first, then back down the
-        decreasing side, removing them smallest first."""
+        """The 2k corners in cyclic order, the tile's one geometry: up the
+        increasing side from the base to the top, adding labels smallest
+        first, then back down the decreasing side, removing them smallest
+        first.  Consecutive corners are the ends of the tile's unit edges.
+        Computed once per tile object, since sweeps revisit every tile."""
+        return self._corners
+
+    @cached_property
+    def _corners(self) -> tuple[LabelSet, ...]:
         out = [self.base]
         for x in self.labels:
             out.append(out[-1] | {x})
@@ -103,16 +107,6 @@ class ZonoTile:
 
     def vertices(self) -> frozenset[LabelSet]:
         return frozenset(self.corners())
-
-    def edges(self) -> tuple[Edge, ...]:
-        """The 2k boundary edges: up the lower path, then up the upper path."""
-        out = []
-        for seq in (self.labels, self.labels[::-1]):
-            tail = self.base
-            for x in seq:
-                out.append(Edge(tail, x))
-                tail = tail | {x}
-        return tuple(out)
 
     def __repr__(self) -> str:
         base = ", ".join(map(str, sorted(self.base)))
@@ -130,23 +124,6 @@ class Rhombus(ZonoTile):
     @property
     def pair(self) -> tuple[int, int]:
         return self.labels
-
-
-@dataclass(frozen=True)
-class Edge:
-    """A unit edge from `tail` to `tail | {label}`; parallel edges share labels."""
-
-    tail: LabelSet
-    label: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "tail", frozenset(self.tail))
-        if self.label in self.tail:
-            raise ValueError(f"edge label {self.label} already in tail")
-
-    @property
-    def head(self) -> LabelSet:
-        return self.tail | {self.label}
 
 
 @dataclass(frozen=True)
@@ -213,11 +190,6 @@ def prefix_sets(u: Permutation) -> tuple[LabelSet, ...]:
     return tuple(out)
 
 
-def boundary_edges(u: Permutation) -> frozenset[Edge]:
-    prefixes = prefix_sets(u)
-    return frozenset(Edge(prefixes[j], u(j + 1)) for j in range(u.n))
-
-
 def polygon_vertices(w: Permutation) -> frozenset[LabelSet]:
     """Both boundary paths of E(w): the identity side and the w side."""
     return frozenset(prefix_sets(Permutation.identity(w.n))) | frozenset(
@@ -225,15 +197,17 @@ def polygon_vertices(w: Permutation) -> frozenset[LabelSet]:
     )
 
 
-def polygon_edges(w: Permutation) -> frozenset[Edge]:
-    return boundary_edges(Permutation.identity(w.n)) | boundary_edges(w)
-
-
 # ---------------------------------------------------------------------------
 # growth: word -> tiling
 
 def word_to_tiling(word: Word) -> RhombicTiling:
-    """Grow the tiling of a reduced word, one rhombus per letter.
+    """Grow the tiling of a reduced word, one rhombus per letter (see `grow_word`)."""
+    w, tiles = grow_word(word)
+    return RhombicTiling(w=w, tiles=frozenset(tiles))
+
+
+def grow_word(word: Word) -> tuple[Permutation, list[Rhombus]]:
+    """The boundary a reduced word reaches and its rhombi in growth order.
 
     At boundary u, the letter i contributes the rhombus with pair
     {u(i), u(i+1)} based at the prefix {u(1), ..., u(i-1)}, after which the
@@ -248,7 +222,7 @@ def word_to_tiling(word: Word) -> RhombicTiling:
             raise NotReducedError(position=k, letter=letter)
         tiles.append(Rhombus((a, b), frozenset(u.values[: letter - 1])))
         u = apply_simple(u, letter)
-    return RhombicTiling(w=u, tiles=frozenset(tiles))
+    return u, tiles
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +253,12 @@ def _sitting(u: tuple[int, ...], tiles) -> list[tuple[int, ZonoTile]]:
     return found
 
 
-def _greedy_peel(T: ZonoTiling) -> tuple[list[int], tuple[int, ...]]:
+def _greedy_peel(T: ZonoTiling) -> tuple[list[ZonoTile], tuple[int, ...]]:
     """Peel the sitting tile at the smallest position until none sits.
 
-    Returns the positions peeled and the boundary reached.  Some order peels
-    every tile iff this one does, with no hypothesis on the tiles:
+    Returns the tiles peeled, in order, and the boundary reached; a tile
+    sits at position len(tile.base).  Some order peels every tile iff this
+    one does, with no hypothesis on the tiles:
 
     * A peel reverses an increasing run, so it inverts pairs of values and
       never un-inverts one: once b precedes a < b, it does for good.
@@ -305,13 +280,13 @@ def _greedy_peel(T: ZonoTiling) -> tuple[list[int], tuple[int, ...]]:
     """
     u = tuple(range(1, T.n + 1))
     remaining = set(T.tiles)
-    positions = []
+    peeled = []
     while sitting := _sitting(u, remaining):
         p, tile = sitting[0]
-        positions.append(p)
+        peeled.append(tile)
         remaining.remove(tile)
         u = peel_apply(u, p, tile.size)
-    return positions, u
+    return peeled, u
 
 
 def tiling_to_word(T: RhombicTiling) -> Word:
@@ -320,11 +295,11 @@ def tiling_to_word(T: RhombicTiling) -> Word:
     The result is the lexicographically least reduced word of T's commutation
     class, and word_to_tiling(result) == T.
     """
-    positions, u = _greedy_peel(T)
-    if len(positions) < len(T.tiles):
+    peeled, u = _greedy_peel(T)
+    if len(peeled) < len(T.tiles):
         boundary = Permutation(u).to_string()
         raise ValueError(f"malformed tiling: no tile sits on the boundary {boundary}")
-    return Word(tuple(p + 1 for p in positions), T.n)
+    return Word(tuple(len(t.base) + 1 for t in peeled), T.n)
 
 
 def all_words(T: RhombicTiling) -> frozenset[Word]:
@@ -470,14 +445,6 @@ def validate(T: ZonoTiling) -> bool:
 
 # ---------------------------------------------------------------------------
 # incidence data
-
-def edges_of(T: ZonoTiling) -> frozenset[Edge]:
-    """All unit edges of T: 2k per tile, plus the polygon boundary of E(w)."""
-    edges = set(polygon_edges(T.w))
-    for tile in T.tiles:
-        edges.update(tile.edges())
-    return frozenset(edges)
-
 
 def vertices_of(T: ZonoTiling) -> frozenset[LabelSet]:
     """All vertices of T, including every boundary vertex of E(w)."""

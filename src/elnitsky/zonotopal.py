@@ -7,7 +7,9 @@ validator live in `tilings`, shared with rhombic tilings; this module adds
 the coarsening order, the conversions to and from rhombic tilings, and
 refinement.  The tilings of E(w) by such tiles form a poset under reverse
 edge inclusion (more edges = finer = smaller), whose minimal elements are
-exactly the rhombic tilings.
+exactly the rhombic tilings.  The order is computed tile-wise, from tile
+bases and tops only: Z <= Y iff every tile of Y is filled by the tiles of Z
+inside it, which is reverse edge inclusion by the argument in `ZonoPoset`.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import comb
+from operator import itemgetter
 
 from .permutations import Permutation
 from .tilings import (
@@ -22,7 +25,6 @@ from .tilings import (
     Rhombus,
     ZonoTile,
     ZonoTiling,
-    edges_of,
     enumerate_rhombic,
     enumerate_zonotopal,
     tiling_digest,
@@ -34,7 +36,6 @@ __all__ = [
     "ZonoTile",
     "ZonoTiling",
     "ZonoPoset",
-    "edges_of",
     "enumerate_zonotopal",
     "zono_leq",
     "poset",
@@ -66,23 +67,41 @@ def to_rhombic(Z: ZonoTiling) -> RhombicTiling:
 
 
 def zono_leq(Z1: ZonoTiling, Z2: ZonoTiling) -> bool:
-    """Z1 <= Z2 iff Z1 refines Z2: edges_of(Z1) contains edges_of(Z2)."""
+    """Z1 <= Z2 iff Z1 refines Z2, computed tile-wise: every tile of Z2 is
+    filled by the tiles of Z1 inside it.
+
+    A tile of Z1 lies inside the tile with base S and top T when S is within
+    its base and its top within T, and those tiles fill it when their areas
+    C(k, 2) sum to C(|T - S|, 2).  This is reverse edge inclusion, Z1 having
+    every unit edge of Z2, by the argument in `ZonoPoset`.
+    """
+    _same_polygon(Z1, Z2)
+    parts = [(t.base, t.base.union(t.labels), comb(t.size, 2)) for t in Z1.tiles]
+    for tile in Z2.tiles:
+        S, T = tile.base, tile.base.union(tile.labels)
+        area = sum(a for base, top, a in parts if S <= base and top <= T)
+        if area != comb(tile.size, 2):
+            return False
+    return True
+
+
+def _same_polygon(Z1: ZonoTiling, Z2: ZonoTiling) -> None:
     if Z1.w != Z2.w:
         raise ValueError(
             f"tilings of different polygons: {Z1.w.to_string()} vs {Z2.w.to_string()}"
         )
-    return edges_of(Z1) >= edges_of(Z2)
 
 
 @dataclass(frozen=True)
 class ZonoPoset:
     """All zonotopal tilings of one E(w) under reverse edge inclusion.
 
-    Elements are digest-sorted for reproducible output; cover relations are
-    computed on first use, one tiling at a time.
+    Elements are digest-sorted for reproducible output, and `poset` keeps
+    the digests it sorted by; cover relations are computed on first use, one
+    tiling at a time.
 
-    Why local merges give exactly the covers.  Edge inclusion is the same
-    as tile-wise refinement: Z <= Y iff every tile of Y is a union of tiles
+    Why local merges give exactly the covers.  Reverse edge inclusion is
+    tile-wise refinement: Z <= Y iff every tile of Y is a union of tiles
     of Z, because no edge of Y crosses the interior of a tile of Z when Z
     has all of Y's edges, and the unit edges on a tile's boundary are edges
     of the tiles inside it.  If the tiles of Z with S <= base and
@@ -101,6 +120,11 @@ class ZonoPoset:
 
     w: Permutation
     elements: tuple[ZonoTiling, ...]
+
+    @cached_property
+    def digests(self) -> tuple[str, ...]:
+        """`tiling_digest` of each element; `poset` fills it from its sort."""
+        return tuple(map(tiling_digest, self.elements))
 
     @cached_property
     def _cover_indices(self) -> tuple[tuple[int, int], ...]:
@@ -152,8 +176,13 @@ def _minimal_merges(tiles: frozenset[ZonoTile]) -> list[frozenset[ZonoTile]]:
 
 
 def poset(w: Permutation) -> ZonoPoset:
-    elements = sorted(enumerate_zonotopal(w), key=tiling_digest)
-    return ZonoPoset(w, tuple(elements))
+    rows = sorted(
+        ((tiling_digest(z), z) for z in enumerate_zonotopal(w)), key=itemgetter(0)
+    )
+    p = ZonoPoset(w, tuple(z for _, z in rows))
+    # fill the cached property, so callers printing digests compute none again
+    p.__dict__["digests"] = tuple(d for d, _ in rows)
+    return p
 
 
 def maximal_elements(p: ZonoPoset) -> frozenset[ZonoTiling]:
@@ -181,20 +210,12 @@ def minimal_upper_bounds(Z1: ZonoTiling, Z2: ZonoTiling) -> frozenset[ZonoTiling
 
     May be empty or contain several tilings; a singleton is a least upper
     bound."""
-    if Z1.w != Z2.w:
-        raise ValueError(
-            f"tilings of different polygons: {Z1.w.to_string()} vs {Z2.w.to_string()}"
-        )
-    e1, e2 = edges_of(Z1), edges_of(Z2)
-    bounds = []
-    for Z in enumerate_zonotopal(Z1.w):
-        e = edges_of(Z)
-        if e1 >= e and e2 >= e:
-            bounds.append((Z, e))
+    _same_polygon(Z1, Z2)
+    bounds = [
+        Z for Z in enumerate_zonotopal(Z1.w) if zono_leq(Z1, Z) and zono_leq(Z2, Z)
+    ]
     return frozenset(
-        Z
-        for Z, e in bounds
-        if not any(other != Z and oe >= e and oe != e for other, oe in bounds)
+        Z for Z in bounds if not any(o != Z and zono_leq(o, Z) for o in bounds)
     )
 
 

@@ -5,8 +5,8 @@ code under test: inversions by testing every pair, pattern containment by
 brute subsequence scan, Bruhat order by the subword property, fixed-point
 images by the wiring model, tilings by a memoized search over partial tile
 sets, census-constrained tilings by a fresh bounded search, peelability by
-a backtracking search over peeling orders, and the coarsening poset and the
-flip graph by comparing every pair of tilings.
+a backtracking search over peeling orders, and the coarsening poset, its
+minimal upper bounds and the flip graph by comparing every pair of tilings.
 """
 from itertools import combinations, permutations as value_tuples
 
@@ -238,6 +238,16 @@ def coarsening_order_by_pairs(p):
     maximal = frozenset(z for z, ups in above.items() if not ups)
     minimal = frozenset(p.elements) - {y for ups in above.values() for y in ups}
     return covers, maximal, minimal
+
+
+def minimal_upper_bounds_by_edges(z1, z2, tilings):
+    """The tilings among `tilings` whose unit edges both z1 and z2 contain,
+    and that contain the edges of no other such tiling."""
+    e1, e2 = unit_edges(z1), unit_edges(z2)
+    bounds = {z: e for z in tilings if e1 >= (e := unit_edges(z)) and e2 >= e}
+    return frozenset(
+        z for z, e in bounds.items() if not any(o > e for o in bounds.values())
+    )
 
 
 def flip_arcs_by_pairs(tilings):

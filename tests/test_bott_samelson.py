@@ -17,7 +17,6 @@ from elnitsky import (
     all_words,
     bruhat_leq,
     coarsen_flip,
-    edges_of,
     enumerate_rhombic,
     fixed_point_images,
     flip_sites,
@@ -27,17 +26,17 @@ from elnitsky import (
     realize_fixed_point,
     stratum_dimension,
     tiling_digest,
-    tiling_to_word,
     vertices_of,
     word_to_tiling,
 )
-from elnitsky.bott_samelson import _growth_steps, _image_from, _propagate
-from elnitsky.tilings import Rhombus, prefix_sets
+from elnitsky.bott_samelson import _image_from, _propagate
+from elnitsky.tilings import Rhombus, _greedy_peel, prefix_sets
 
 from helpers import (
     bruhat_interval,
     some_reduced_word,
     symmetric_group,
+    unit_edges,
     wiring_image,
 )
 
@@ -175,7 +174,7 @@ def test_fixed_point_assignment_invariants():
     for w in symmetric_group(4):
         for T in enumerate_rhombic(w):
             verts = vertices_of(T)
-            edges = edges_of(T)
+            edges = unit_edges(T)
             identity_path = prefix_sets(Permutation.identity(T.n))
             for c in all_colorings(T):
                 fp = realize_fixed_point(T, c)
@@ -183,8 +182,8 @@ def test_fixed_point_assignment_invariants():
                 for v, s in fp.assignment.items():
                     assert len(s) == len(v)
                     assert s <= frozenset(range(1, T.n + 1))
-                for e in edges:
-                    assert fp.assignment[e.tail] < fp.assignment[e.head]
+                for tail, label in edges:
+                    assert fp.assignment[tail] < fp.assignment[tail | {label}]
                 for flag in identity_path:
                     assert fp.assignment[flag] == flag
 
@@ -260,11 +259,11 @@ def test_dark_count_histogram_matches_poincare():
 
 def replayed_images(T):
     """The per-coloring definition: `image_permutation` for each of the
-    2^l(w) colorings, with the growth steps computed once, not per coloring."""
-    steps = _growth_steps(T, tiling_to_word(T))
+    2^l(w) colorings, with the tiles peeled once, not per coloring."""
+    tiles, _ = _greedy_peel(T)
     base = prefix_sets(Permutation.identity(T.n))
     return frozenset(
-        _image_from(_propagate(steps, base, c.dark), T.w) for c in all_colorings(T)
+        _image_from(_propagate(tiles, base, c.dark), T.w) for c in all_colorings(T)
     )
 
 

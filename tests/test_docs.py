@@ -1,9 +1,11 @@
 """The README's examples and the module doctests, run as written."""
 import doctest
+import pkgutil
 import re
+from importlib import import_module
 from pathlib import Path
 
-import elnitsky.permutations
+import elnitsky
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,7 +28,17 @@ def test_readme_examples():
     assert failed == 0
 
 
-def test_permutations_doctests():
-    failed, attempted = doctest.testmod(elnitsky.permutations)
-    assert attempted > 0
+def test_module_doctests():
+    failed = attempted = 0
+    for info in pkgutil.iter_modules(elnitsky.__path__):
+        result = doctest.testmod(import_module(f"elnitsky.{info.name}"))
+        failed += result.failed
+        attempted += result.attempted
+    sources = Path(elnitsky.__file__).parent.glob("*.py")
+    prompts = sum(
+        line.lstrip().startswith(">>> ")
+        for path in sources
+        for line in path.read_text(encoding="utf-8").splitlines()
+    )
+    assert attempted == prompts >= 5
     assert failed == 0

@@ -10,7 +10,6 @@ from elnitsky import (
     ZonoTile,
     apply_flip,
     coarsen_flip,
-    edges_of,
     enumerate_rhombic,
     flip_graph,
     flip_sites,
@@ -26,14 +25,14 @@ from elnitsky import (
 )
 from elnitsky.tilings import polygon_vertices
 
-from helpers import flip_arcs_by_pairs, symmetric_group
+from helpers import flip_arcs_by_pairs, symmetric_group, unit_edges
 
 T121 = word_to_tiling(Word((1, 2, 1), 3))
 T212 = word_to_tiling(Word((2, 1, 2), 3))
 
 
 def degree(v, edges):
-    return sum(1 for e in edges if v in (e.tail, e.head))
+    return sum(1 for tail, label in edges if v in (tail, tail | {label}))
 
 
 def test_site_validation():
@@ -95,7 +94,7 @@ def test_flip_invariants_exhaustive_s4():
 def test_sites_are_the_degree_three_interior_vertices():
     for w in symmetric_group(4):
         for T in enumerate_rhombic(w):
-            edges = edges_of(T)
+            edges = unit_edges(T)
             interior = vertices_of(T) - polygon_vertices(w)
             degree_three = {v for v in interior if degree(v, edges) == 3}
             assert {f.interior_vertex() for f in flip_sites(T)} == degree_three

@@ -9,6 +9,8 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import elnitsky.flips
+import elnitsky.io_cli
+import elnitsky.zonotopal
 from elnitsky import (
     Coloring,
     Permutation,
@@ -444,6 +446,21 @@ def test_cli_flipgraph_digests_each_tiling_once(capsys, monkeypatch, extra):
     code, _, _ = run(capsys, "flipgraph", "54321", *extra)
     assert code == 0
     assert len(calls) == 62
+
+
+def test_cli_poset_digests_each_tiling_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(tiling):
+        calls.append(tiling)
+        return tiling_digest(tiling)
+
+    # io_cli need not import tiling_digest at all; if it does, count it too
+    monkeypatch.setattr(elnitsky.zonotopal, "tiling_digest", counted)
+    monkeypatch.setattr(elnitsky.io_cli, "tiling_digest", counted, raising=False)
+    code, _, _ = run(capsys, "poset", "54321")
+    assert code == 0
+    assert len(calls) == 203
 
 
 def test_cli_flipgraph_at_the_length_guard_edge(capsys):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from elnitsky import (
-    Edge,
     GuardExceeded,
     NotReducedError,
     Permutation,
@@ -17,7 +16,6 @@ from elnitsky import (
     ZonoTiling,
     all_words,
     commutation_classes,
-    edges_of,
     enumerate_rhombic,
     enumerate_zonotopal,
     inversions,
@@ -56,12 +54,6 @@ def test_rhombus_normalizes_pair():
     assert t == Rhombus((2, 4), {1})
     with pytest.raises(ValueError):
         Rhombus((3, 3), frozenset())
-
-
-def test_edge_rejects_label_in_tail():
-    with pytest.raises(ValueError):
-        Edge(frozenset({2}), 2)
-    assert Edge(frozenset(), 2).head == frozenset({2})
 
 
 def test_growth_single_tile():
@@ -260,7 +252,6 @@ def test_validate_accepts_every_growth_output():
 
 def test_edges_and_vertices_of_single_tile():
     T = word_to_tiling(Word((1,), 2))
-    assert len(edges_of(T)) == 4
     assert len(vertices_of(T)) == 4
 
 

@@ -23,18 +23,19 @@ from elnitsky import (
     tiling_digest,
     to_rhombic,
     word_to_tiling,
-    zono_edges_of,
     zono_leq,
     zono_validate,
     zono_validation_error,
 )
 from elnitsky.flips import apply_flip, coarsen_flip, flip_sites
-from elnitsky.tilings import edges_of as rhombic_edges_of, validation_error
+from elnitsky.tilings import validation_error
 
 from helpers import (
     coarsening_order_by_pairs,
+    minimal_upper_bounds_by_edges,
     sample_permutations,
     symmetric_group,
+    unit_edges,
     zonotopal_tile_sets,
 )
 
@@ -71,12 +72,14 @@ def test_tile_validation():
 def test_tile_vertices_and_edges():
     hexagon = ZonoTile((1, 2, 3), frozenset())
     assert len(hexagon.vertices()) == 6
-    assert len(set(hexagon.edges())) == 6
     assert frozenset({2}) not in hexagon.vertices()
 
     square = ZonoTile((1, 2), frozenset({3}))
-    assert len(set(square.edges())) == 4
     assert len(square.vertices()) == 4
+    for tile in (hexagon, square):
+        corners = tile.corners()
+        # consecutive corners, cyclically, are the ends of one unit edge
+        assert all(len(corners[i - 1] ^ corners[i]) == 1 for i in range(len(corners)))
 
 
 def test_rhombic_round_trip():
@@ -84,7 +87,6 @@ def test_rhombic_round_trip():
         for T in enumerate_rhombic(w):
             Z = from_rhombic(T)
             assert to_rhombic(Z) == T
-            assert zono_edges_of(Z) == rhombic_edges_of(T)
             assert zono_validate(Z)
     with pytest.raises(ValueError):
         to_rhombic(HEX_TILING)
@@ -145,6 +147,22 @@ def test_leq_basics():
     assert not zono_leq(Z2, Z1)
     with pytest.raises(ValueError):
         zono_leq(Z1, OCT_TILING)
+
+
+def test_leq_is_edge_inclusion_on_s1_to_s5():
+    enumerate_zonotopal.cache_clear()
+    start = time.perf_counter()
+    pairs = 0
+    for n in range(1, 6):
+        for w in symmetric_group(n):
+            tilings = enumerate_zonotopal(w)
+            edges = {z: unit_edges(z) for z in tilings}
+            for lo in tilings:
+                for hi in tilings:
+                    assert zono_leq(lo, hi) == (edges[lo] >= edges[hi])
+                    pairs += 1
+    assert pairs == 62001
+    assert time.perf_counter() - start < 3
 
 
 def test_poset_of_one_hexagon():
@@ -255,6 +273,19 @@ def test_minimal_upper_bound_of_flip_partners_is_the_coarsening():
                     from_rhombic(T), from_rhombic(apply_flip(T, f))
                 )
                 assert mub == frozenset({coarsen_flip(T, f)})
+
+
+def test_minimal_upper_bounds_match_edge_inclusion_on_s1_to_s4():
+    pairs = 0
+    for n in range(1, 5):
+        for w in symmetric_group(n):
+            tilings = enumerate_zonotopal(w)
+            for Z1 in tilings:
+                for Z2 in tilings:
+                    expected = minimal_upper_bounds_by_edges(Z1, Z2, tilings)
+                    assert minimal_upper_bounds(Z1, Z2) == expected
+                    pairs += 1
+    assert pairs == 449
 
 
 def test_minimal_upper_bound_rejects_different_polygons():
