@@ -27,7 +27,7 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import (
@@ -92,12 +92,7 @@ class ZonoTile:
         """The 2k corners in cyclic order, the tile's one geometry: up the
         increasing side from the base to the top, adding labels smallest
         first, then back down the decreasing side, removing them smallest
-        first.  Consecutive corners are the ends of the tile's unit edges.
-        Computed once per tile object, since sweeps revisit every tile."""
-        return self._corners
-
-    @cached_property
-    def _corners(self) -> tuple[LabelSet, ...]:
+        first.  Consecutive corners are the ends of the tile's unit edges."""
         out = [self.base]
         for x in self.labels:
             out.append(out[-1] | {x})
