@@ -184,7 +184,7 @@ def parse_tiling(text: str) -> RhombicTiling | ZonoTiling:
     """Read tiling JSON, rhombic or zonotopal, and reject anything invalid."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ValueError(f"invalid JSON: {e}") from None
     if not isinstance(data, dict):
         raise ValueError("tiling JSON must be an object")

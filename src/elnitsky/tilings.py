@@ -19,16 +19,19 @@ commutation classes of reduced words mechanical:
   so greedy gets stuck iff no peeling order exists (see `_greedy_peel`).
 
 Tile-set equality is the canonical form of a commutation class: two reduced
-words grow the same tile set iff they differ by commutation moves.
+words grow the same tile set iff they differ by commutation moves.  Its
+canonical JSON lists the tiles sorted by (labels, sorted base); each tile
+computes that key and its two JSON lists once, and `to_json` joins them with
+string formatting, byte for byte what `json.dumps` would write.
 """
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
+from operator import attrgetter
 
 from .errors import (
     ZONO_RANK_GUARD,
@@ -85,8 +88,15 @@ class ZonoTile:
     def size(self) -> int:
         return len(self.labels)
 
+    @cached_property
     def key(self) -> tuple:
+        """The canonical sort key (labels, sorted base), computed once."""
         return (self.labels, tuple(sorted(self.base)))
+
+    @cached_property
+    def json_lists(self) -> tuple[str, str]:
+        """The labels and the sorted base as JSON lists, written once."""
+        return str(list(self.labels)), str(list(self.key[1]))
 
     def corners(self) -> tuple[LabelSet, ...]:
         """The 2k corners in cyclic order, the tile's one geometry: up the
@@ -140,19 +150,17 @@ class ZonoTiling:
         return self.w.n
 
     def canonical_tiles(self) -> tuple[ZonoTile, ...]:
-        return tuple(sorted(self.tiles, key=ZonoTile.key))
+        return tuple(sorted(self.tiles, key=attrgetter("key")))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "w": list(self.w.values),
-                "tiles": [
-                    {self.json_key: list(t.labels), "base": sorted(t.base)}
-                    for t in self.canonical_tiles()
-                ],
-            }
+        """`json.dumps` of {"n", "w", "tiles": [{json_key, "base"}, ...]} with
+        the tiles in canonical order, written from each tile's cached lists."""
+        head = f'{{"{self.json_key}": '
+        tiles = ", ".join(
+            f'{head}{labels}, "base": {base}}}'
+            for labels, base in (t.json_lists for t in self.canonical_tiles())
         )
+        return f'{{"n": {self.n}, "w": {list(self.w.values)}, "tiles": [{tiles}]}}'
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(w={self.w.to_string()}, {len(self.tiles)} tiles)"
@@ -346,8 +354,10 @@ def _grow(w: Permutation, max_run: int, tiling_type: type[ZonoTiling]) -> frozen
     fits over positions p..q when u increases there through values whose
     every pair is an inversion of w; placing it reverses that segment.  On an
     increasing run w puts the values in decreasing position order, so only
-    neighbours need checking.  A tile is coded as one int, base bits above
-    label bits, and becomes a `tiling_type.tile_type` only in complete
+    neighbours need checking, one bit test each in the inversion table:
+    bit y of fits[x] is set iff x < y and w inverts (x, y), built from
+    `inversions(w)` in O(n + l(w)).  A tile is coded as one int, base bits
+    above label bits, and becomes a `tiling_type.tile_type` only in complete
     tilings, one object per distinct code.
 
     No memo is needed: each partial tiling is reached by one placement
@@ -364,9 +374,10 @@ def _grow(w: Permutation, max_run: int, tiling_type: type[ZonoTiling]) -> frozen
     """
     n = w.n
     target = w.values
-    pos = [0] * (n + 1)
-    for i, v in enumerate(target):
-        pos[v] = i
+    fits = [0] * (n + 1)
+    for a, b in inversions(w):
+        fits[a] |= 1 << b
+    runs = [(p, range(p + 1, min(p + max_run, n))) for p in range(n - 1)]
     complete: list[frozenset[int]] = []
     codes: list[int] = []
 
@@ -375,11 +386,12 @@ def _grow(w: Permutation, max_run: int, tiling_type: type[ZonoTiling]) -> frozen
             complete.append(frozenset(codes))
             return
         base = 0
-        for p in range(n - 1):
-            labels = 1 << u[p]
-            for q in range(p + 1, min(p + max_run, n)):
-                x, y = u[q - 1], u[q]
-                if x > y or pos[x] < pos[y]:
+        for p, run in runs:
+            x = u[p]
+            labels = 1 << x
+            for q in run:
+                y = u[q]
+                if not fits[x] >> y & 1:
                     break
                 labels |= 1 << y
                 if reach[p] <= q:
@@ -389,6 +401,7 @@ def _grow(w: Permutation, max_run: int, tiling_type: type[ZonoTiling]) -> frozen
                         (p,) * (q + 1) + reach[q + 1 :],
                     )
                     codes.pop()
+                x = y
             base |= 1 << u[p]
 
     grow(tuple(range(1, n + 1)), (0,) * n)

@@ -6,8 +6,10 @@ brute subsequence scan, Bruhat order by the subword property, fixed-point
 images by the wiring model, tilings by a memoized search over partial tile
 sets, census-constrained tilings by a fresh bounded search, peelability by
 a backtracking search over peeling orders, and the coarsening poset, its
-minimal upper bounds and the flip graph by comparing every pair of tilings.
+minimal upper bounds and the flip graph by comparing every pair of tilings,
+and canonical JSON by `json.dumps` of the tiles sorted from scratch.
 """
+import json
 from itertools import combinations, permutations as value_tuples
 
 from elnitsky import (
@@ -27,6 +29,19 @@ from elnitsky import (
 
 def symmetric_group(n):
     return [Permutation(vals) for vals in value_tuples(range(1, n + 1))]
+
+
+def canonical_json_by_dumps(T):
+    """The canonical JSON by its definition: `json.dumps` of n, w and the
+    tiles sorted by (labels, sorted base), each spelled with T's json_key."""
+    tiles = sorted(T.tiles, key=lambda t: (t.labels, sorted(t.base)))
+    return json.dumps(
+        {
+            "n": T.n,
+            "w": list(T.w.values),
+            "tiles": [{T.json_key: list(t.labels), "base": sorted(t.base)} for t in tiles],
+        }
+    )
 
 
 def inversions_by_pairs(w):

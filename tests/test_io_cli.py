@@ -5,8 +5,10 @@ import math
 import sys
 import time
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import elnitsky.flips
 import elnitsky.io_cli
@@ -21,6 +23,7 @@ from elnitsky import (
     ZonoTile,
     ZonoTiling,
     enumerate_rhombic,
+    enumerate_zonotopal,
     main,
     parse_permutation,
     parse_tiling,
@@ -130,6 +133,64 @@ def test_parse_tiling_rejections():
     for text in bad_inputs:
         with pytest.raises(ValueError):
             parse_tiling(text)
+
+
+# arbitrary JSON, with object keys drawn mostly from the tiling format's own
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["n", "w", "tiles", "pair", "labels", "base"]) | st.text(max_size=3),
+        inner,
+        max_size=5,
+    ),
+    max_leaves=20,
+)
+
+
+def _slots(value):
+    """Every (container, index or key) inside a parsed JSON value."""
+    items = enumerate(value) if isinstance(value, list) else value.items()
+    for key, item in list(items):
+        yield value, key
+        if isinstance(item, (list, dict)):
+            yield from _slots(item)
+
+
+@st.composite
+def mutated_tiling_texts(draw):
+    """The JSON of a rhombic or zonotopal tiling of S1-S5 after up to three
+    edits: a value replaced (by a nearby integer or arbitrary JSON), a key
+    or list item deleted, or a list item doubled."""
+    n = draw(st.integers(1, 5))
+    w = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+    texts = sorted(t.to_json() for t in enumerate_rhombic(w) | enumerate_zonotopal(w))
+    data = json.loads(draw(st.sampled_from(texts)))
+    for _ in range(draw(st.integers(0, 3))):
+        container, key = draw(st.sampled_from(list(_slots(data))))
+        edit = draw(st.sampled_from(("integer", "json", "delete", "double")))
+        if edit == "integer":
+            container[key] = draw(st.integers(-1, n + 2))
+        elif edit == "json":
+            container[key] = draw(json_values)
+        elif edit == "delete":
+            del container[key]
+        elif isinstance(container, list):
+            container.insert(key, container[key])
+    return json.dumps(data)
+
+
+@given(st.text(max_size=30) | json_values.map(json.dumps) | mutated_tiling_texts())
+@settings(max_examples=400, deadline=None)
+def test_parser_raises_only_value_error_and_words_exits_0_1_or_2(tmp_path_factory, text):
+    try:
+        parse_tiling(text)
+    except ValueError:
+        pass
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(text, encoding="utf-8")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(["words", str(path)]) in (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +399,15 @@ def test_cli_words_accepts_rhombic_spelled_zonotopal(tmp_path, capsys):
     assert out == "1,2,1\n"
 
 
+def test_cli_refuses_deeply_nested_json(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    code, out, err = run(capsys, "words", str(deep))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid JSON: ")
+    assert err.count("\n") == 1
+
+
 def test_cli_refuses_an_unpeelable_tiling_at_once(tmp_path, capsys):
     # 2^(k-1) subsets of the rhombi can be peeled, but never all; k = 40 is rank 80
     for k in (19, 40):
@@ -389,6 +459,37 @@ def test_cli_enumerate_at_large_rank_answers_within_a_second(capsys):
     assert time.perf_counter() - start < 1
     assert code == 0
     assert out.splitlines()[-1] == "1"
+
+
+ENUMERATE_STDOUT_SHA256 = {
+    "4321": "94644b4457cfeddd02428e55fcd2ce084023d297ea5dbc1457e86e8886d101ea",
+    "54321": "3c0b197da7cd20374ed06356eebc505fbe689f0eac7504c23f959c9e8d4c3414",
+    "2143": "327f254f7828d5dda35247e9feda9a5357d38656f495bb734500644c0730bb56",
+    "4321 --zonotopal": "98250ad46d7992337e1abcb3e7b988bab65951a48b3536d763951de86e8d2f46",
+    "54321 --zonotopal": "5c322a0abf96d5dfb4a3da57b7b7e2cc71ea908da1d9cf8f25f7c8fcb2d8ffad",
+}
+
+
+@pytest.mark.parametrize("args", sorted(ENUMERATE_STDOUT_SHA256))
+def test_cli_enumerate_output_is_pinned(capsys, args):
+    code, out, _ = run(capsys, "enumerate", *args.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_STDOUT_SHA256[args]
+
+
+def test_cli_enumerate_at_the_length_guard_edge(capsys):
+    enumerate_rhombic.cache_clear()
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "7654312")
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "6888"
+    # the same digest as the benchmark's pinned stdout of this command
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "f5f717f785ff9c3ddbc1253ea2c933734948c6bcc9a66a97ce057fa989b9e919"
+    )
+    assert elapsed < 3
 
 
 def test_cli_flipgraph(capsys):

@@ -30,6 +30,7 @@ from elnitsky import (
 from elnitsky.tilings import polygon_vertices, prefix_sets
 
 from helpers import (
+    canonical_json_by_dumps,
     inversions_by_pairs,
     peel_order_by_search,
     sample_permutations,
@@ -291,6 +292,29 @@ def test_json_golden_form():
     )
     assert T.to_json() == expected
     assert json.loads(T.to_json())["w"] == [3, 2, 1]
+
+
+def test_to_json_matches_json_dumps_on_s1_to_s5():
+    for n in range(1, 6):
+        for w in symmetric_group(n):
+            for T in enumerate_rhombic(w) | enumerate_zonotopal(w):
+                assert T.to_json() == canonical_json_by_dumps(T)
+
+
+def test_to_json_matches_json_dumps_with_two_digit_labels():
+    # 1,2,1 and the w0 of 9..12 commute; labels and bases mix one and two digits
+    T = word_to_tiling(Word((1, 2, 1, 9, 10, 11, 9, 10, 9), 12))
+    assert T.w.values == (3, 2, 1, 4, 5, 6, 7, 8, 12, 11, 10, 9)
+    assert '"pair": [10, 12], "base": [1, 2, 3, 4, 5, 6, 7, 8, 11]' in T.to_json()
+    assert T.to_json() == canonical_json_by_dumps(T)
+
+
+def test_to_json_spells_tiles_by_the_tiling_not_the_tile():
+    T = word_to_tiling(LONG_WORD)
+    Z = ZonoTiling(T.w, T.tiles)
+    assert all(type(t) is Rhombus for t in Z.tiles)
+    assert Z.to_json() == canonical_json_by_dumps(Z)
+    assert Z.to_json() == T.to_json().replace('"pair"', '"labels"')
 
 
 def test_digest_is_short_and_stable():
