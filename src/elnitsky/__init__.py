@@ -66,6 +66,7 @@ from .tilings import (
     ZonoTiling,
     all_words,
     enumerate_rhombic,
+    enumerate_zonotopal,
     tiling_digest,
     tiling_to_word,
     validate,
@@ -75,7 +76,6 @@ from .tilings import (
 )
 from .zonotopal import (
     ZonoPoset,
-    enumerate_zonotopal,
     from_rhombic,
     has_unique_max,
     maximal_elements,
@@ -85,8 +85,6 @@ from .zonotopal import (
     refinements,
     to_rhombic,
     zono_leq,
-    zono_validate,
-    zono_validation_error,
 )
 
 __version__ = "0.1.0"

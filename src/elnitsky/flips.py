@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 
 from .permutations import Permutation
 from .tilings import (
@@ -21,7 +20,7 @@ from .tilings import (
     ZonoTile,
     ZonoTiling,
     enumerate_rhombic,
-    tiling_digest,
+    sort_by_digest,
 )
 
 __all__ = [
@@ -42,29 +41,26 @@ INTERIOR_AC = "interior-ac"
 
 
 def _triple(labels: tuple[int, int, int], base: LabelSet, orientation: str):
-    """The three rhombi of a hexagon in one orientation, as (pair, base) keys."""
+    """The three rhombi of a hexagon in one orientation, as (pair, base)
+    pairs, each equal to its `Rhombus`."""
     a, b, c = labels
     if orientation == INTERIOR_B:
         return frozenset({((a, b), base), ((b, c), base), ((a, c), base | {b})})
     return frozenset({((a, c), base), ((b, c), base | {a}), ((a, b), base | {c})})
 
 
-def _tile_keys(T: RhombicTiling) -> frozenset:
-    return frozenset((t.labels, t.base) for t in T.tiles)
-
-
-def _hexagons(keys: frozenset, n: int, orientation: str):
-    """(labels, base) of every hexagon that the tile keys fill in `orientation`,
+def _hexagons(tiles: frozenset[Rhombus], n: int, orientation: str):
+    """(labels, base) of every hexagon that the rhombi fill in `orientation`,
     found from its {a, b} rhombus (interior-b) or its {a, c} rhombus
     (interior-ac), the one of the three that sits at the hexagon's base."""
-    for (x, y), S in keys:
+    for (x, y), S in tiles:
         if orientation == INTERIOR_B:
             for c in range(y + 1, n + 1):
-                if ((y, c), S) in keys and ((x, c), S | {y}) in keys:
+                if ((y, c), S) in tiles and ((x, c), S | {y}) in tiles:
                     yield (x, y, c), S
         else:
             for b in range(x + 1, y):
-                if ((b, y), S | {x}) in keys and ((x, b), S | {y}) in keys:
+                if ((b, y), S | {x}) in tiles and ((x, b), S | {y}) in tiles:
                     yield (x, b, y), S
 
 
@@ -113,11 +109,10 @@ class FlipSite:
 def flip_sites(T: RhombicTiling) -> frozenset[FlipSite]:
     """All flippable hexagons of T (equivalently, all degree-3 interior
     vertices), each reported with its present orientation."""
-    keys = _tile_keys(T)
     return frozenset(
         FlipSite(labels, base, orientation)
         for orientation in (INTERIOR_B, INTERIOR_AC)
-        for labels, base in _hexagons(keys, T.n, orientation)
+        for labels, base in _hexagons(T.tiles, T.n, orientation)
     )
 
 
@@ -125,11 +120,9 @@ def _present_orientation(T: RhombicTiling, f: FlipSite) -> FlipSite:
     """The site oriented as it actually sits in T; the same hexagon location
     is accepted in either orientation so a flip can be undone with the same
     site object."""
-    if f.tiles() <= T.tiles:
-        return f
-    g = f.flipped()
-    if g.tiles() <= T.tiles:
-        return g
+    for g in (f, f.flipped()):
+        if _triple(g.labels, g.base, g.orientation) <= T.tiles:
+            return g
     raise ValueError(
         f"no flippable hexagon with labels {f.labels} at base {sorted(f.base)}"
     )
@@ -138,7 +131,8 @@ def _present_orientation(T: RhombicTiling, f: FlipSite) -> FlipSite:
 def apply_flip(T: RhombicTiling, f: FlipSite) -> RhombicTiling:
     """Exchange the three rhombi of f's hexagon for the other three."""
     f = _present_orientation(T, f)
-    return RhombicTiling(T.w, (T.tiles - f.tiles()) | f.flipped_tiles())
+    kept = T.tiles - _triple(f.labels, f.base, f.orientation)
+    return RhombicTiling(T.w, kept | f.flipped_tiles())
 
 
 def coarsen_flip(T: RhombicTiling, f: FlipSite) -> ZonoTiling:
@@ -148,7 +142,7 @@ def coarsen_flip(T: RhombicTiling, f: FlipSite) -> ZonoTiling:
     rhombic refinements differing over that hexagon.
     """
     f = _present_orientation(T, f)
-    kept = frozenset(ZonoTile(t.labels, t.base) for t in T.tiles - f.tiles())
+    kept = T.tiles - _triple(f.labels, f.base, f.orientation)
     return ZonoTiling(T.w, kept | {ZonoTile(f.labels, f.base)})
 
 
@@ -156,25 +150,25 @@ def coarsen_flip(T: RhombicTiling, f: FlipSite) -> ZonoTiling:
 class FlipGraph:
     """All rhombic tilings of one E(w), joined when one flip apart.
 
-    Nodes are digest-sorted; arcs are digest pairs (low, high), each stored
-    once."""
+    Nodes are digest-sorted, and `digests` holds their digests in the same
+    order; arcs are digest pairs (low, high), each stored once."""
 
     w: Permutation
     nodes: tuple[RhombicTiling, ...]
+    digests: tuple[str, ...]
     arcs: frozenset[tuple[str, str]]
 
     @cached_property
     def by_digest(self) -> dict[str, RhombicTiling]:
-        """Digest -> node; `flip_graph` fills it with the digests it computed."""
-        return {tiling_digest(T): T for T in self.nodes}
+        return dict(zip(self.digests, self.nodes))
 
     @cached_property
     def adjacency(self) -> dict[str, tuple[str, ...]]:
-        nbrs: dict[str, set[str]] = {d: set() for d in self.by_digest}
+        nbrs: dict[str, set[str]] = {d: set() for d in self.digests}
         for a, b in self.arcs:
             nbrs[a].add(b)
             nbrs[b].add(a)
-        return {d: tuple(sorted(nbrs[d])) for d in sorted(nbrs)}
+        return {d: tuple(sorted(nbrs[d])) for d in self.digests}
 
     def __repr__(self) -> str:
         return (
@@ -186,9 +180,9 @@ class FlipGraph:
 def flip_graph(w: Permutation) -> FlipGraph:
     """The flip graph of E(w), digesting each tiling exactly once.
 
-    Tilings are keyed by their sets of (pair, base) tile keys, and each key
-    set's digest is computed once; the flipped key set of every hexagon is
-    looked up in the same map, and `by_digest` is filled from it.
+    Each tiling's digest is computed once, by `sort_by_digest`, and the
+    flipped tile set of every hexagon is looked up among the tilings' tile
+    sets; the plain pairs of `_triple` equal the rhombi they replace.
 
     Every arc is found once.  Two tilings one flip apart differ exactly over
     one hexagon, which one of them fills in the interior-b orientation and
@@ -196,23 +190,17 @@ def flip_graph(w: Permutation) -> FlipGraph:
     first tiling when only interior-b hexagons are flipped, and from no other
     tiling or hexagon.
     """
-    rows = sorted(
-        ((tiling_digest(T), _tile_keys(T), T) for T in enumerate_rhombic(w)),
-        key=itemgetter(0),
-    )
-    digest_of = {keys: d for d, keys, _ in rows}
+    digests, nodes = sort_by_digest(enumerate_rhombic(w))
+    digest_of = {T.tiles: d for d, T in zip(digests, nodes)}
     arcs = []
-    for d, keys, _ in rows:
-        for labels, base in _hexagons(keys, w.n, INTERIOR_B):
-            flipped = (keys - _triple(labels, base, INTERIOR_B)) | _triple(
+    for d, T in zip(digests, nodes):
+        for labels, base in _hexagons(T.tiles, w.n, INTERIOR_B):
+            flipped = (T.tiles - _triple(labels, base, INTERIOR_B)) | _triple(
                 labels, base, INTERIOR_AC
             )
             d2 = digest_of[flipped]
             arcs.append((d, d2) if d < d2 else (d2, d))
-    g = FlipGraph(w, tuple(T for _, _, T in rows), frozenset(arcs))
-    # fill the cached property, so by_digest and adjacency digest nothing again
-    g.__dict__["by_digest"] = {d: T for d, _, T in rows}
-    return g
+    return FlipGraph(w, nodes, digests, frozenset(arcs))
 
 
 def is_connected(g: FlipGraph) -> bool:
@@ -232,7 +220,7 @@ def is_connected(g: FlipGraph) -> bool:
 
 def to_dot(g: FlipGraph) -> str:
     lines = [f'graph "{g.w.to_string()}" {{']
-    for d in sorted(g.by_digest):
+    for d in g.digests:
         lines.append(f'  "{d}";')
     for a, b in sorted(g.arcs):
         lines.append(f'  "{a}" -- "{b}";')

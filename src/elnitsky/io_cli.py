@@ -24,13 +24,14 @@ from .tilings import (
     ZonoTiling,
     all_words,
     enumerate_rhombic,
+    enumerate_zonotopal,
     polygon_vertices,
     prefix_sets,
     tiling_to_word,
     validation_error,
     word_to_tiling,
 )
-from .zonotopal import enumerate_zonotopal, maximal_elements, poset, to_rhombic
+from .zonotopal import maximal_elements, poset, to_rhombic
 
 __all__ = [
     "PolygonGeometry",

@@ -3,12 +3,14 @@
 The 2n-gon E(w) has unit sides labeled 1..n up the left half and, reading the
 right half from bottom to top, w(1)..w(n); same-labeled sides are parallel.
 Every vertex of a tiling is identified with a subset of {1..n}: the labels of
-any shortest edge path reaching it from the bottom vertex.  A tile is then a
-set of k >= 2 labels together with the base subset at its lowest vertex, and
-a tiling is a set of such tiles.  A rhombus is simply the two-label tile, so
-rhombic and zonotopal tilings share one tile model, one growth engine, one
-validator and one tile geometry here.  This encoding makes the bijection with
-commutation classes of reduced words mechanical:
+any shortest edge path reaching it from the bottom vertex.  A tile is then
+the pair (labels, base) of k >= 2 labels and the base subset at its lowest
+vertex, as a value: it hashes and compares as that pair, so a plain pair
+finds it in a tile set.  A tiling is a set of such tiles.  A rhombus is
+simply the two-label tile, so rhombic and zonotopal tilings share one tile
+model, one growth engine, one validator and one tile geometry here.  This
+encoding makes the bijection with commutation classes of reduced words
+mechanical:
 
 * growing a tiling from a word sweeps a boundary (a permutation u, read off
   the edge labels from the bottom vertex) from the identity to w, emitting
@@ -20,9 +22,10 @@ commutation classes of reduced words mechanical:
 
 Tile-set equality is the canonical form of a commutation class: two reduced
 words grow the same tile set iff they differ by commutation moves.  Its
-canonical JSON lists the tiles sorted by (labels, sorted base); each tile
-computes that key and its two JSON lists once, and `to_json` joins them with
-string formatting, byte for byte what `json.dumps` would write.
+canonical JSON lists the tiles sorted by their `key`, (labels, sorted base),
+never as tuples; each tile computes that key and its two JSON lists once,
+and `to_json` joins them with string formatting, byte for byte what
+`json.dumps` would write.
 """
 from __future__ import annotations
 
@@ -31,7 +34,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from operator import attrgetter
+from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 from .errors import (
     ZONO_RANK_GUARD,
@@ -56,33 +60,31 @@ __all__ = [
     "validation_error",
     "vertices_of",
     "tiling_digest",
+    "sort_by_digest",
 ]
 
 LabelSet = frozenset[int]
 
 
-@dataclass(frozen=True)
-class ZonoTile:
+class ZonoTile(NamedTuple("ZonoTile", [("labels", tuple), ("base", LabelSet)])):
     """A 2k-gon tile: k >= 2 edge labels plus the base subset at its lowest
-    vertex.  Boundary vertices are the base joined with labels taken in
-    increasing order (lower path) or decreasing order (upper path).
+    vertex, as the value (labels, base); sort tiles by `key`, never as
+    tuples, whose order compares bases by inclusion.  Boundary vertices are
+    the base joined with labels taken in increasing order (lower path) or
+    decreasing order (upper path).
 
     The base is not required to be disjoint from the labels at construction
     time, so that malformed input can be represented and rejected by
     `validate`.
     """
 
-    labels: tuple[int, ...]
-    base: LabelSet
-
-    def __post_init__(self):
-        labels = tuple(sorted(self.labels))
+    def __new__(cls, labels, base):
+        labels = tuple(sorted(labels))
         if len(labels) < 2:
             raise ValueError(f"tile needs at least 2 labels, got {list(labels)}")
         if len(set(labels)) < len(labels):
             raise ValueError(f"repeated tile label in {list(labels)}")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "base", frozenset(self.base))
+        return super().__new__(cls, labels, frozenset(base))
 
     @property
     def size(self) -> int:
@@ -121,10 +123,11 @@ class ZonoTile:
 class Rhombus(ZonoTile):
     """A tile with exactly two labels, its `pair`."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        if len(self.labels) != 2:
-            raise ValueError(f"a rhombus needs exactly 2 labels, got {list(self.labels)}")
+    def __new__(cls, labels, base):
+        tile = super().__new__(cls, labels, base)
+        if len(tile.labels) != 2:
+            raise ValueError(f"a rhombus needs exactly 2 labels, got {list(tile.labels)}")
+        return tile
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -176,6 +179,13 @@ class RhombicTiling(ZonoTiling):
 def tiling_digest(tiling: ZonoTiling) -> str:
     """Short stable digest of the canonical JSON form (rhombic or zonotopal)."""
     return hashlib.sha256(tiling.to_json().encode()).hexdigest()[:12]
+
+
+def sort_by_digest(tilings) -> tuple[tuple[str, ...], tuple]:
+    """The digests of `tilings` in sorted order and the tilings in the same
+    order, each digest computed once."""
+    rows = sorted(((tiling_digest(T), T) for T in tilings), key=itemgetter(0))
+    return tuple(d for d, _ in rows), tuple(T for _, T in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +248,9 @@ def grow_word(word: Word) -> tuple[Permutation, list[Rhombus]]:
 
 def peel_position(u: tuple[int, ...], tile: ZonoTile) -> int | None:
     """0-based prefix length at which the tile sits on u, or None."""
-    p = len(tile.base)
-    if u[p : p + tile.size] == tile.labels and frozenset(u[:p]) == tile.base:
+    labels, base = tile
+    p = len(base)
+    if u[p : p + len(labels)] == labels and frozenset(u[:p]) == base:
         return p
     return None
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import comb
-from operator import itemgetter
 
 from .permutations import Permutation
 from .tilings import (
@@ -27,16 +26,11 @@ from .tilings import (
     ZonoTiling,
     enumerate_rhombic,
     enumerate_zonotopal,
-    tiling_digest,
-    validate as zono_validate,
-    validation_error as zono_validation_error,
+    sort_by_digest,
 )
 
 __all__ = [
-    "ZonoTile",
-    "ZonoTiling",
     "ZonoPoset",
-    "enumerate_zonotopal",
     "zono_leq",
     "poset",
     "maximal_elements",
@@ -46,14 +40,12 @@ __all__ = [
     "refinements",
     "from_rhombic",
     "to_rhombic",
-    "zono_validate",
-    "zono_validation_error",
 ]
 
 
 def from_rhombic(T: RhombicTiling) -> ZonoTiling:
     """View a rhombic tiling as a zonotopal one (every tile has k = 2)."""
-    return ZonoTiling(T.w, frozenset(ZonoTile(t.labels, t.base) for t in T.tiles))
+    return ZonoTiling(T.w, T.tiles)
 
 
 def to_rhombic(Z: ZonoTiling) -> RhombicTiling:
@@ -76,11 +68,13 @@ def zono_leq(Z1: ZonoTiling, Z2: ZonoTiling) -> bool:
     every unit edge of Z2, by the argument in `ZonoPoset`.
     """
     _same_polygon(Z1, Z2)
-    parts = [(t.base, t.base.union(t.labels), comb(t.size, 2)) for t in Z1.tiles]
-    for tile in Z2.tiles:
-        S, T = tile.base, tile.base.union(tile.labels)
+    parts = [
+        (base, base.union(labels), comb(len(labels), 2)) for labels, base in Z1.tiles
+    ]
+    for labels, S in Z2.tiles:
+        T = S.union(labels)
         area = sum(a for base, top, a in parts if S <= base and top <= T)
-        if area != comb(tile.size, 2):
+        if area != comb(len(labels), 2):
             return False
     return True
 
@@ -96,9 +90,9 @@ def _same_polygon(Z1: ZonoTiling, Z2: ZonoTiling) -> None:
 class ZonoPoset:
     """All zonotopal tilings of one E(w) under reverse edge inclusion.
 
-    Elements are digest-sorted for reproducible output, and `poset` keeps
-    the digests it sorted by; cover relations are computed on first use, one
-    tiling at a time.
+    Elements are digest-sorted for reproducible output, and `digests` holds
+    their digests in the same order; cover relations are computed on first
+    use, one tiling at a time.
 
     Why local merges give exactly the covers.  Reverse edge inclusion is
     tile-wise refinement: Z <= Y iff every tile of Y is a union of tiles
@@ -120,11 +114,7 @@ class ZonoPoset:
 
     w: Permutation
     elements: tuple[ZonoTiling, ...]
-
-    @cached_property
-    def digests(self) -> tuple[str, ...]:
-        """`tiling_digest` of each element; `poset` fills it from its sort."""
-        return tuple(map(tiling_digest, self.elements))
+    digests: tuple[str, ...]
 
     @cached_property
     def _cover_indices(self) -> tuple[tuple[int, int], ...]:
@@ -156,16 +146,17 @@ def _minimal_merges(tiles: frozenset[ZonoTile]) -> list[frozenset[ZonoTile]]:
     The 2k-gon with base S and top T has S as the base of one of its tiles
     and T as the top of one, so only those S and T are tried; see ZonoPoset."""
     tiles = tuple(tiles)
-    tops = [t.base.union(t.labels) for t in tiles]
+    tops = [base.union(labels) for labels, base in tiles]
+    areas = [comb(len(labels), 2) for labels, _ in tiles]
     regions: dict[frozenset[int], ZonoTile] = {}
-    for S in {t.base for t in tiles}:
-        above = [i for i, t in enumerate(tiles) if S <= t.base]
+    for S in {base for _, base in tiles}:
+        above = [i for i, (_, base) in enumerate(tiles) if S <= base]
         for T in {tops[i] for i in above}:
             k = len(T) - len(S)
             if k < 3:
                 continue
             group = frozenset(i for i in above if tops[i] <= T)
-            area = sum(comb(tiles[i].size, 2) for i in group)
+            area = sum(areas[i] for i in group)
             if len(group) >= 2 and area == comb(k, 2):
                 regions[group] = ZonoTile(tuple(T - S), S)
     return [
@@ -176,13 +167,8 @@ def _minimal_merges(tiles: frozenset[ZonoTile]) -> list[frozenset[ZonoTile]]:
 
 
 def poset(w: Permutation) -> ZonoPoset:
-    rows = sorted(
-        ((tiling_digest(z), z) for z in enumerate_zonotopal(w)), key=itemgetter(0)
-    )
-    p = ZonoPoset(w, tuple(z for _, z in rows))
-    # fill the cached property, so callers printing digests compute none again
-    p.__dict__["digests"] = tuple(d for d, _ in rows)
-    return p
+    digests, elements = sort_by_digest(enumerate_zonotopal(w))
+    return ZonoPoset(w, elements, digests)
 
 
 def maximal_elements(p: ZonoPoset) -> frozenset[ZonoTiling]:

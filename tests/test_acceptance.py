@@ -37,7 +37,6 @@ from elnitsky import (
     tiling_to_word,
     validate,
     word_to_tiling,
-    zono_validate,
 )
 
 from helpers import (
@@ -99,7 +98,7 @@ def test_criterion_4_zonotopal_structure_on_s5():
     for w in symmetric_group(5):
         tilings = enumerate_zonotopal(w)
         for Z in tilings:
-            assert zono_validate(Z)
+            assert validate(Z)
             assert sum(t.size * (t.size - 1) // 2 for t in Z.tiles) == w.length()
 
         avoids = not any(contains_pattern(w, p) for p in blockers)
@@ -116,7 +115,7 @@ def test_criterion_5_poincare_data():
     start = time.perf_counter()
     big = census_tiling(Permutation.from_string("87465312"), {4: 1, 3: 3, 2: 10})
     assert big is not None
-    assert zono_validate(big)
+    assert validate(big)
     sizes = Counter(t.size for t in big.tiles)
     assert sizes == {4: 1, 3: 3, 2: 10}
     p = poincare(big)

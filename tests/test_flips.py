@@ -6,22 +6,27 @@ from elnitsky import (
     INTERIOR_B,
     FlipSite,
     Permutation,
+    RhombicTiling,
+    Rhombus,
     Word,
     ZonoTile,
+    ZonoTiling,
     apply_flip,
     coarsen_flip,
     enumerate_rhombic,
+    enumerate_zonotopal,
     flip_graph,
     flip_sites,
     from_rhombic,
     is_connected,
+    parse_tiling,
     refinements,
     tiling_digest,
     to_dot,
+    to_rhombic,
     validate,
     vertices_of,
     word_to_tiling,
-    zono_validate,
 )
 from elnitsky.tilings import polygon_vertices
 
@@ -156,7 +161,7 @@ def test_coarsen_flip_inside_a_larger_tiling():
     for T in enumerate_rhombic(Permutation.longest(4)):
         for f in flip_sites(T):
             Z = coarsen_flip(T, f)
-            assert zono_validate(Z)
+            assert validate(Z)
             assert len(Z.tiles) == len(T.tiles) - 2
             assert refinements(Z) == {T, apply_flip(T, f)}
 
@@ -178,6 +183,40 @@ def test_graph_nodes_are_digest_sorted():
     g = flip_graph(Permutation.longest(4))
     digests = [tiling_digest(T) for T in g.nodes]
     assert digests == sorted(digests)
+    assert g.digests == tuple(digests)
+
+
+def same_tiling(A, B):
+    """Equal as values, with the same tiling class, tile classes and JSON."""
+    classes = {type(t) for t in A.tiles}, {type(t) for t in B.tiles}
+    return A == B and classes[0] == classes[1] and A.to_json() == B.to_json()
+
+
+def test_reread_tilings_agree_with_the_engines_on_s1_to_s5():
+    # parse_tiling builds fresh tiles, not the engines' shared objects
+    for n in range(1, 6):
+        for w in symmetric_group(n):
+            for T in enumerate_rhombic(w):
+                R = parse_tiling(T.to_json())
+                assert not {id(t) for t in R.tiles} & {id(t) for t in T.tiles}
+                assert same_tiling(R, T)
+                sites = flip_sites(T)
+                assert flip_sites(R) == sites
+                for f in sites:
+                    flipped = apply_flip(R, f)
+                    assert same_tiling(flipped, apply_flip(T, f))
+                    assert {type(t) for t in flipped.tiles} == {Rhombus}
+                    assert same_tiling(coarsen_flip(R, f), coarsen_flip(T, f))
+                Z = from_rhombic(R)
+                assert type(Z) is ZonoTiling and same_tiling(Z, from_rhombic(T))
+                assert Z in enumerate_zonotopal(w)
+                assert same_tiling(to_rhombic(Z), T)
+            for Z in enumerate_zonotopal(w):
+                if all(t.size == 2 for t in Z.tiles):
+                    R = to_rhombic(parse_tiling(Z.to_json()))
+                    assert type(R) is RhombicTiling and R in enumerate_rhombic(w)
+                    assert same_tiling(R, to_rhombic(Z))
+                    assert {type(t) for t in R.tiles} <= {Rhombus}
 
 
 def test_flip_graph_matches_the_pairwise_arcs_on_s1_to_s5():

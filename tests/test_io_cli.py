@@ -535,6 +535,14 @@ def test_cli_flipgraph_output_is_pinned(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == FLIPGRAPH_STDOUT_SHA256[args]
 
 
+def patch_every_digest(monkeypatch, counted):
+    """Count `tiling_digest` in every module that can call it; only `tilings`
+    must import it, the others are counted too if they do."""
+    monkeypatch.setattr(elnitsky.tilings, "tiling_digest", counted)
+    for module in (elnitsky.flips, elnitsky.zonotopal, elnitsky.io_cli):
+        monkeypatch.setattr(module, "tiling_digest", counted, raising=False)
+
+
 @pytest.mark.parametrize("extra", [(), ("--dot",)])
 def test_cli_flipgraph_digests_each_tiling_once(capsys, monkeypatch, extra):
     calls = []
@@ -543,7 +551,7 @@ def test_cli_flipgraph_digests_each_tiling_once(capsys, monkeypatch, extra):
         calls.append(tiling)
         return tiling_digest(tiling)
 
-    monkeypatch.setattr(elnitsky.flips, "tiling_digest", counted)
+    patch_every_digest(monkeypatch, counted)
     code, _, _ = run(capsys, "flipgraph", "54321", *extra)
     assert code == 0
     assert len(calls) == 62
@@ -556,9 +564,7 @@ def test_cli_poset_digests_each_tiling_once(capsys, monkeypatch):
         calls.append(tiling)
         return tiling_digest(tiling)
 
-    # io_cli need not import tiling_digest at all; if it does, count it too
-    monkeypatch.setattr(elnitsky.zonotopal, "tiling_digest", counted)
-    monkeypatch.setattr(elnitsky.io_cli, "tiling_digest", counted, raising=False)
+    patch_every_digest(monkeypatch, counted)
     code, _, _ = run(capsys, "poset", "54321")
     assert code == 0
     assert len(calls) == 203

@@ -1,0 +1,56 @@
+"""Two layout rules, checked on the source text: the package imports only
+itself and the standard library, and the brute-force oracle and the test
+helpers stay independent of the code they check."""
+import ast
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "elnitsky"
+HELPERS = ROOT / "tests" / "helpers.py"
+
+
+def imports(path):
+    """(module, level, names) of every import in a file; `from . import x`
+    gives the module "" at level 1."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, 0, ()
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or "", node.level, tuple(a.name for a in node.names)
+
+
+def package_modules(module, level, names):
+    """The `elnitsky` modules an import names: relative ones, or absolute
+    ones under `elnitsky`."""
+    if level == 0:
+        parts = module.split(".")
+        return {parts[1] if len(parts) > 1 else ""} if parts[0] == "elnitsky" else set()
+    return {module.split(".")[0]} if module else set(names)
+
+
+def test_package_imports_only_itself_and_the_standard_library():
+    outside = [
+        (path.name, module)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for module, level, _ in imports(path)
+        if level == 0 and module.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert outside == []
+
+
+def test_oracle_imports_only_permutations_and_errors():
+    used = set().union(*(package_modules(*i) for i in imports(PACKAGE / "oracle.py")))
+    assert used <= {"permutations", "errors"}
+
+
+def test_helpers_import_no_private_names():
+    private = [
+        (module, name)
+        for module, level, names in imports(HELPERS)
+        if module.split(".")[0] == "elnitsky"
+        for name in (*module.split("."), *names)
+        if name.startswith("_")
+    ]
+    assert private == []

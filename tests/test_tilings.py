@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import time
 from itertools import combinations
 
@@ -55,6 +57,50 @@ def test_rhombus_normalizes_pair():
     assert t == Rhombus((2, 4), {1})
     with pytest.raises(ValueError):
         Rhombus((3, 3), frozenset())
+
+
+def engine_tiles_of_s1_to_s5():
+    """Every distinct tile object of every rhombic and zonotopal tiling of
+    S1-S5 (the engines share one object per tile within an enumeration)."""
+    tiles = {}
+    for n in range(1, 6):
+        for w in symmetric_group(n):
+            for T in (*enumerate_rhombic(w), *enumerate_zonotopal(w)):
+                tiles.update((id(t), t) for t in T.tiles)
+    return list(tiles.values())
+
+
+def test_a_tile_is_its_labels_and_base_on_s1_to_s5():
+    tiles = engine_tiles_of_s1_to_s5()
+    assert {type(t) for t in tiles} == {Rhombus, ZonoTile}
+    for t in tiles:
+        pair = (t.labels, t.base)
+        assert t == pair and hash(t) == hash(pair)
+        for again in (pickle.loads(pickle.dumps(t)), copy.copy(t)):
+            assert type(again) is type(t) and again == pair
+        base = ", ".join(map(str, sorted(t.base)))
+        assert repr(t) == f"{type(t).__name__}({t.labels}, {{{base}}})"
+
+
+def test_tile_repr_and_plain_pair_lookup():
+    assert repr(Rhombus((2, 1), {3})) == "Rhombus((1, 2), {3})"
+    assert repr(ZonoTile((3, 1, 2), set())) == "ZonoTile((1, 2, 3), {})"
+    assert ((1, 2), frozenset({3})) in {Rhombus((2, 1), {3})}
+    assert Rhombus((1, 2), {3}) == ZonoTile((1, 2), {3})
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Rhombus((1, 2, 3), frozenset()), "exactly 2 labels"),
+        (lambda: ZonoTile((1,), frozenset()), "at least 2 labels"),
+        (lambda: ZonoTile((2, 1, 2), frozenset()), "repeated tile label"),
+        (lambda: Rhombus((3, 3), frozenset()), "repeated tile label"),
+    ],
+)
+def test_tile_construction_still_checks_labels(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_growth_single_tile():

@@ -22,10 +22,9 @@ from elnitsky import (
     refinements,
     tiling_digest,
     to_rhombic,
+    validate,
     word_to_tiling,
     zono_leq,
-    zono_validate,
-    zono_validation_error,
 )
 from elnitsky.flips import apply_flip, coarsen_flip, flip_sites
 from elnitsky.tilings import validation_error
@@ -87,7 +86,7 @@ def test_rhombic_round_trip():
         for T in enumerate_rhombic(w):
             Z = from_rhombic(T)
             assert to_rhombic(Z) == T
-            assert zono_validate(Z)
+            assert validate(Z)
     with pytest.raises(ValueError):
         to_rhombic(HEX_TILING)
 
@@ -180,6 +179,8 @@ def test_poset_of_the_longest_element_of_rank_four():
     assert len(p.covers) == 24
     assert maximal_elements(p) == frozenset({OCT_TILING})
     assert len(minimal_elements(p)) == 8
+    digests = tuple(tiling_digest(z) for z in p.elements)
+    assert p.digests == digests == tuple(sorted(digests))
 
 
 def test_covers_are_strict_and_gapless():
@@ -317,36 +318,36 @@ def test_tile_size_census():
 
 def test_validation_errors():
     w321 = Permutation((3, 2, 1))
-    assert zono_validation_error(HEX_TILING) is None
-    assert zono_validate(OCT_TILING)
+    assert validation_error(HEX_TILING) is None
+    assert validate(OCT_TILING)
 
     doubled = ZonoTiling(
         w321,
         frozenset({ZonoTile((1, 2), frozenset()), ZonoTile((1, 2, 3), frozenset())}),
     )
-    assert "more than one" in zono_validation_error(doubled)
+    assert "more than one" in validation_error(doubled)
 
     not_inv = ZonoTiling(
         Permutation((2, 1, 3)), frozenset({ZonoTile((1, 3), frozenset())})
     )
-    assert "not an inversion" in zono_validation_error(not_inv)
+    assert "not an inversion" in validation_error(not_inv)
 
     missing = ZonoTiling(w321, frozenset({ZonoTile((1, 2), frozenset())}))
-    assert "not covered" in zono_validation_error(missing)
+    assert "not covered" in validation_error(missing)
 
     no_peel = ZonoTiling(
         Permutation((3, 1, 2)),
         frozenset({ZonoTile((1, 3), frozenset()), ZonoTile((2, 3), frozenset())}),
     )
-    assert "peeling" in zono_validation_error(no_peel)
+    assert "peeling" in validation_error(no_peel)
 
     overlap = ZonoTiling(w321, frozenset({ZonoTile((1, 2), frozenset({1}))}))
-    assert "disjoint" in zono_validation_error(overlap)
+    assert "disjoint" in validation_error(overlap)
 
     out_of_range = ZonoTiling(
         Permutation((2, 1)), frozenset({ZonoTile((1, 5), frozenset())})
     )
-    assert "outside" in zono_validation_error(out_of_range)
+    assert "outside" in validation_error(out_of_range)
 
 
 @pytest.mark.parametrize("kind", [ZonoTiling, RhombicTiling])
@@ -369,7 +370,7 @@ def test_validation_reports_the_least_bad_pair_first(kind):
 def test_enumerated_tilings_all_validate():
     for w in symmetric_group(4):
         for Z in enumerate_zonotopal(w):
-            assert zono_validate(Z)
+            assert validate(Z)
 
 
 def test_json_uses_labels_key():
