@@ -61,7 +61,6 @@ from .permutations import (
 )
 from .tilings import (
     RhombicTiling,
-    Rhombus,
     ZonoTile,
     ZonoTiling,
     all_words,

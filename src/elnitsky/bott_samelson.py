@@ -18,7 +18,7 @@ from .permutations import Permutation, Word, apply_simple
 from .tilings import (
     LabelSet,
     RhombicTiling,
-    Rhombus,
+    ZonoTile,
     grow_word,
     prefix_sets,
     tiling_to_word,
@@ -129,7 +129,7 @@ class Coloring:
     """
 
     tiling: RhombicTiling
-    dark: frozenset[Rhombus]
+    dark: frozenset[ZonoTile]
 
     def __post_init__(self):
         dark = frozenset(self.dark)
@@ -155,10 +155,10 @@ class Coloring:
             )
         return cls(T, frozenset(t for t, bit in zip(tiles, bits) if bit == "1"))
 
-    def is_dark(self, tile: Rhombus) -> bool:
+    def is_dark(self, tile: ZonoTile) -> bool:
         return tile in self.dark
 
-    def shade(self, tile: Rhombus) -> str:
+    def shade(self, tile: ZonoTile) -> str:
         if tile not in self.tiling.tiles:
             raise ValueError(f"tile {tile!r} is not in the tiling")
         return DARK if tile in self.dark else LIGHT

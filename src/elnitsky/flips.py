@@ -16,7 +16,6 @@ from .permutations import Permutation
 from .tilings import (
     LabelSet,
     RhombicTiling,
-    Rhombus,
     ZonoTile,
     ZonoTiling,
     enumerate_rhombic,
@@ -41,15 +40,15 @@ INTERIOR_AC = "interior-ac"
 
 
 def _triple(labels: tuple[int, int, int], base: LabelSet, orientation: str):
-    """The three rhombi of a hexagon in one orientation, as (pair, base)
-    pairs, each equal to its `Rhombus`."""
+    """The three rhombi of a hexagon in one orientation, as plain
+    (labels, base) pairs, each equal to the two-label `ZonoTile` it names."""
     a, b, c = labels
     if orientation == INTERIOR_B:
         return frozenset({((a, b), base), ((b, c), base), ((a, c), base | {b})})
     return frozenset({((a, c), base), ((b, c), base | {a}), ((a, b), base | {c})})
 
 
-def _hexagons(tiles: frozenset[Rhombus], n: int, orientation: str):
+def _hexagons(tiles: frozenset[ZonoTile], n: int, orientation: str):
     """(labels, base) of every hexagon that the rhombi fill in `orientation`,
     found from its {a, b} rhombus (interior-b) or its {a, c} rhombus
     (interior-ac), the one of the three that sits at the hexagon's base."""
@@ -85,14 +84,14 @@ class FlipSite:
         if self.orientation not in (INTERIOR_B, INTERIOR_AC):
             raise ValueError(f"unknown orientation {self.orientation!r}")
 
-    def tiles(self) -> frozenset[Rhombus]:
+    def tiles(self) -> frozenset[ZonoTile]:
         """The three rhombi of the present orientation."""
         return frozenset(
-            Rhombus(pair, base)
+            ZonoTile(pair, base)
             for pair, base in _triple(self.labels, self.base, self.orientation)
         )
 
-    def flipped_tiles(self) -> frozenset[Rhombus]:
+    def flipped_tiles(self) -> frozenset[ZonoTile]:
         return self.flipped().tiles()
 
     def flipped(self) -> "FlipSite":

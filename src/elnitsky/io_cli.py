@@ -21,6 +21,7 @@ from .permutations import Permutation, Word, contains_pattern
 from .tilings import (
     LabelSet,
     RhombicTiling,
+    ZonoTile,
     ZonoTiling,
     all_words,
     enumerate_rhombic,
@@ -117,8 +118,8 @@ def render_svg(tiling, spec: RenderSpec | None = None) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.4f}"'
         f' height="{height:.4f}" viewBox="0 0 {width:.4f} {height:.4f}">'
     ]
-    for tile in tiling.canonical_tiles():
-        points = " ".join(f"{x:.4f},{y:.4f}" for x, y in map(px, corners[tile]))
+    for tile, tile_corners in corners.items():
+        points = " ".join(f"{x:.4f},{y:.4f}" for x, y in map(px, tile_corners))
         if spec.coloring is None:
             fill = "white"
         else:
@@ -220,7 +221,7 @@ def parse_tiling(text: str) -> RhombicTiling | ZonoTiling:
             raise ValueError(f"tile entry {entry!r} has neither pair nor labels")
 
     kind = ZonoTiling if zonotopal else RhombicTiling
-    tiling = kind(w, frozenset(kind.tile_type(ls, b) for ls, b in raw_tiles))
+    tiling = kind(w, frozenset(ZonoTile(ls, b) for ls, b in raw_tiles))
     error = validation_error(tiling)
     if error:
         raise ValueError(error)

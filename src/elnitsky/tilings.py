@@ -7,10 +7,11 @@ any shortest edge path reaching it from the bottom vertex.  A tile is then
 the pair (labels, base) of k >= 2 labels and the base subset at its lowest
 vertex, as a value: it hashes and compares as that pair, so a plain pair
 finds it in a tile set.  A tiling is a set of such tiles.  A rhombus is
-simply the two-label tile, so rhombic and zonotopal tilings share one tile
-model, one growth engine, one validator and one tile geometry here.  This
-encoding makes the bijection with commutation classes of reduced words
-mechanical:
+simply the two-label `ZonoTile`, the only tile class, so rhombic and
+zonotopal tilings share one tile model, one growth engine, one validator
+and one tile geometry here; `RhombicTiling` differs from `ZonoTiling` only
+in spelling each tile's labels "pair" in JSON.  This encoding makes the
+bijection with commutation classes of reduced words mechanical:
 
 * growing a tiling from a word sweeps a boundary (a permutation u, read off
   the edge labels from the bottom vertex) from the identity to w, emitting
@@ -48,7 +49,6 @@ from .permutations import Permutation, Word, apply_simple, inversions
 __all__ = [
     "LabelSet",
     "ZonoTile",
-    "Rhombus",
     "ZonoTiling",
     "RhombicTiling",
     "word_to_tiling",
@@ -68,10 +68,10 @@ LabelSet = frozenset[int]
 
 class ZonoTile(NamedTuple("ZonoTile", [("labels", tuple), ("base", LabelSet)])):
     """A 2k-gon tile: k >= 2 edge labels plus the base subset at its lowest
-    vertex, as the value (labels, base); sort tiles by `key`, never as
-    tuples, whose order compares bases by inclusion.  Boundary vertices are
-    the base joined with labels taken in increasing order (lower path) or
-    decreasing order (upper path).
+    vertex, as the value (labels, base); a rhombus is the tile with two
+    labels.  Sort tiles by `key`, never as tuples, whose order compares
+    bases by inclusion.  Boundary vertices are the base joined with labels
+    taken in increasing order (lower path) or decreasing order (upper path).
 
     The base is not required to be disjoint from the labels at construction
     time, so that malformed input can be represented and rejected by
@@ -120,20 +120,6 @@ class ZonoTile(NamedTuple("ZonoTile", [("labels", tuple), ("base", LabelSet)])):
         return f"{type(self).__name__}({self.labels}, {{{base}}})"
 
 
-class Rhombus(ZonoTile):
-    """A tile with exactly two labels, its `pair`."""
-
-    def __new__(cls, labels, base):
-        tile = super().__new__(cls, labels, base)
-        if len(tile.labels) != 2:
-            raise ValueError(f"a rhombus needs exactly 2 labels, got {list(tile.labels)}")
-        return tile
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return self.labels
-
-
 @dataclass(frozen=True)
 class ZonoTiling:
     """A set of 2k-gon tiles tiling E(w); equality is tile-set equality."""
@@ -141,8 +127,7 @@ class ZonoTiling:
     w: Permutation
     tiles: frozenset[ZonoTile]
 
-    # not fields: the tile class and its JSON key, which RhombicTiling changes
-    tile_type = ZonoTile
+    # not a field: the JSON key of a tile's labels, which RhombicTiling changes
     json_key = "labels"
 
     def __post_init__(self):
@@ -172,7 +157,6 @@ class ZonoTiling:
 class RhombicTiling(ZonoTiling):
     """A tiling by rhombi; its JSON spells each tile's labels as "pair"."""
 
-    tile_type = Rhombus
     json_key = "pair"
 
 
@@ -219,7 +203,7 @@ def word_to_tiling(word: Word) -> RhombicTiling:
     return RhombicTiling(w=w, tiles=frozenset(tiles))
 
 
-def grow_word(word: Word) -> tuple[Permutation, list[Rhombus]]:
+def grow_word(word: Word) -> tuple[Permutation, list[ZonoTile]]:
     """The boundary a reduced word reaches and its rhombi in growth order.
 
     At boundary u, the letter i contributes the rhombus with pair
@@ -233,7 +217,7 @@ def grow_word(word: Word) -> tuple[Permutation, list[Rhombus]]:
         a, b = u(letter), u(letter + 1)
         if a > b:
             raise NotReducedError(position=k, letter=letter)
-        tiles.append(Rhombus((a, b), frozenset(u.values[: letter - 1])))
+        tiles.append(ZonoTile((a, b), u.values[: letter - 1]))
         u = apply_simple(u, letter)
     return u, tiles
 
@@ -327,7 +311,7 @@ def all_words(T: RhombicTiling) -> frozenset[Word]:
         raise ValueError("malformed tiling: no complete peeling order exists")
     results: list[tuple[int, ...]] = []
 
-    def peel(u: tuple[int, ...], remaining: frozenset[Rhombus], acc: tuple[int, ...]):
+    def peel(u: tuple[int, ...], remaining: frozenset[ZonoTile], acc: tuple[int, ...]):
         if not remaining:
             results.append(acc)
         for p, tile in _sitting(u, remaining):
@@ -367,9 +351,10 @@ def _grow(w: Permutation, max_run: int, tiling_type: type[ZonoTiling]) -> frozen
     increasing run w puts the values in decreasing position order, so only
     neighbours need checking, one bit test each in the inversion table:
     bit y of fits[x] is set iff x < y and w inverts (x, y), built from
-    `inversions(w)` in O(n + l(w)).  A tile is coded as one int, base bits
-    above label bits, and becomes a `tiling_type.tile_type` only in complete
-    tilings, one object per distinct code.
+    `inversions(w)` in O(n + l(w)).  A tile is built when it is placed, as
+    the `ZonoTile` of the segment over the prefix before it, and kept under
+    its code, one int with base bits above label bits, so each distinct tile
+    is one shared object; a complete tiling is wrapped as the DFS reaches it.
 
     No memo is needed: each partial tiling is reached by one placement
     order only.  Two tiles can be placed in either order iff their segments
@@ -389,12 +374,13 @@ def _grow(w: Permutation, max_run: int, tiling_type: type[ZonoTiling]) -> frozen
     for a, b in inversions(w):
         fits[a] |= 1 << b
     runs = [(p, range(p + 1, min(p + max_run, n))) for p in range(n - 1)]
-    complete: list[frozenset[int]] = []
-    codes: list[int] = []
+    tiles: dict[int, ZonoTile] = {}
+    placed: list[ZonoTile] = []
+    complete: list[ZonoTiling] = []
 
     def grow(u: tuple[int, ...], reach: tuple[int, ...]):
         if u == target:
-            complete.append(frozenset(codes))
+            complete.append(tiling_type(w, frozenset(placed)))
             return
         base = 0
         for p, run in runs:
@@ -406,27 +392,20 @@ def _grow(w: Permutation, max_run: int, tiling_type: type[ZonoTiling]) -> frozen
                     break
                 labels |= 1 << y
                 if reach[p] <= q:
-                    codes.append(base << (n + 1) | labels)
+                    code = base << (n + 1) | labels
+                    if code not in tiles:
+                        tiles[code] = ZonoTile(u[p : q + 1], u[:p])
+                    placed.append(tiles[code])
                     grow(
                         u[:p] + u[p : q + 1][::-1] + u[q + 1 :],
                         (p,) * (q + 1) + reach[q + 1 :],
                     )
-                    codes.pop()
+                    placed.pop()
                 x = y
             base |= 1 << u[p]
 
     grow(tuple(range(1, n + 1)), (0,) * n)
-
-    tiles: dict[int, ZonoTile] = {}
-
-    def tile(code: int) -> ZonoTile:
-        if code not in tiles:
-            members = [x for x in range(1, n + 1) if code >> x & 1]
-            base = frozenset(x for x in range(1, n + 1) if code >> (n + 1 + x) & 1)
-            tiles[code] = tiling_type.tile_type(tuple(members), base)
-        return tiles[code]
-
-    return frozenset(tiling_type(w, frozenset(map(tile, c))) for c in complete)
+    return frozenset(complete)
 
 
 def validation_error(T: ZonoTiling) -> str | None:

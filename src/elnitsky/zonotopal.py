@@ -21,7 +21,6 @@ from math import comb
 from .permutations import Permutation
 from .tilings import (
     RhombicTiling,
-    Rhombus,
     ZonoTile,
     ZonoTiling,
     enumerate_rhombic,
@@ -55,7 +54,7 @@ def to_rhombic(Z: ZonoTiling) -> RhombicTiling:
     for t in Z.tiles:
         if t.size != 2:
             raise ValueError(f"not a rhombic tiling: tile {t!r} has {t.size} labels")
-    return RhombicTiling(Z.w, frozenset(Rhombus(t.labels, t.base) for t in Z.tiles))
+    return RhombicTiling(Z.w, Z.tiles)
 
 
 def zono_leq(Z1: ZonoTiling, Z2: ZonoTiling) -> bool:
@@ -221,13 +220,10 @@ def refinements(Z: ZonoTiling) -> frozenset[RhombicTiling]:
     )
 
 
-def _relabel(T: RhombicTiling, tile: ZonoTile) -> frozenset[Rhombus]:
+def _relabel(T: RhombicTiling, tile: ZonoTile) -> frozenset[ZonoTile]:
     """Transport a tiling of the reversal on {1..k} into `tile`'s 2k-gon."""
     L = tile.labels
     return frozenset(
-        Rhombus(
-            (L[r.pair[0] - 1], L[r.pair[1] - 1]),
-            tile.base | {L[x - 1] for x in r.base},
-        )
-        for r in T.tiles
+        ZonoTile((L[a - 1], L[b - 1]), tile.base | {L[x - 1] for x in base})
+        for (a, b), base in T.tiles
     )

@@ -15,7 +15,6 @@ from itertools import combinations, permutations as value_tuples
 from elnitsky import (
     Permutation,
     RhombicTiling,
-    Rhombus,
     Word,
     ZonoTile,
     ZonoTiling,
@@ -182,8 +181,8 @@ def unpeelable_pairs_tiling(k):
     on base {3}.  Every pair check passes, but no peeling order exists, and
     the other k-1 rhombi can be peeled in 2^(k-1) subsets."""
     w = Permutation(tuple(v for i in range(1, k + 1) for v in (2 * i, 2 * i - 1)))
-    tiles = {Rhombus((1, 2), frozenset({3}))} | {
-        Rhombus((2 * i - 1, 2 * i), frozenset(range(1, 2 * i - 1)))
+    tiles = {ZonoTile((1, 2), frozenset({3}))} | {
+        ZonoTile((2 * i - 1, 2 * i), frozenset(range(1, 2 * i - 1)))
         for i in range(2, k + 1)
     }
     return RhombicTiling(w, frozenset(tiles))

@@ -30,7 +30,7 @@ from elnitsky import (
     word_to_tiling,
 )
 from elnitsky.bott_samelson import _image_from, _propagate
-from elnitsky.tilings import Rhombus, _greedy_peel, prefix_sets
+from elnitsky.tilings import ZonoTile, _greedy_peel, prefix_sets
 
 from helpers import (
     bruhat_interval,
@@ -140,7 +140,7 @@ def test_coloring_construction_and_bits():
         Coloring.from_bits(T121, "01")
     with pytest.raises(ValueError):
         Coloring.from_bits(T121, "01x")
-    foreign = Rhombus((1, 3), frozenset())
+    foreign = ZonoTile((1, 3), frozenset())
     with pytest.raises(ValueError):
         Coloring(T121, frozenset({foreign}))
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
-"""Two layout rules, checked on the source text: the package imports only
-itself and the standard library, and the brute-force oracle and the test
-helpers stay independent of the code they check."""
+"""Layout rules, checked on the source text: the package imports only
+itself and the standard library, the brute-force oracle and the test
+helpers stay independent of the code they check, and `ZonoTile` is the
+package's one tile class."""
 import ast
 import sys
 from pathlib import Path
@@ -54,3 +55,16 @@ def test_helpers_import_no_private_names():
         if name.startswith("_")
     ]
     assert private == []
+
+
+def test_no_package_class_subclasses_the_tile():
+    """A rhombus is the two-label `ZonoTile`, not a class of its own."""
+    subclasses = [
+        (path.name, node.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        for base in node.bases
+        if "ZonoTile" in {getattr(base, "id", None), getattr(base, "attr", None)}
+    ]
+    assert subclasses == []

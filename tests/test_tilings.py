@@ -12,7 +12,6 @@ from elnitsky import (
     NotReducedError,
     Permutation,
     RhombicTiling,
-    Rhombus,
     Word,
     ZonoTile,
     ZonoTiling,
@@ -52,11 +51,11 @@ def tilings_of(n):
 
 
 def test_rhombus_normalizes_pair():
-    t = Rhombus((4, 2), frozenset({1}))
-    assert t.pair == (2, 4)
-    assert t == Rhombus((2, 4), {1})
+    t = ZonoTile((4, 2), {1})
+    assert t.labels == (2, 4)
+    assert t == ZonoTile((2, 4), frozenset({1}))
     with pytest.raises(ValueError):
-        Rhombus((3, 3), frozenset())
+        ZonoTile((3, 3), frozenset())
 
 
 def engine_tiles_of_s1_to_s5():
@@ -72,7 +71,7 @@ def engine_tiles_of_s1_to_s5():
 
 def test_a_tile_is_its_labels_and_base_on_s1_to_s5():
     tiles = engine_tiles_of_s1_to_s5()
-    assert {type(t) for t in tiles} == {Rhombus, ZonoTile}
+    assert {type(t) for t in tiles} == {ZonoTile}
     for t in tiles:
         pair = (t.labels, t.base)
         assert t == pair and hash(t) == hash(pair)
@@ -83,19 +82,17 @@ def test_a_tile_is_its_labels_and_base_on_s1_to_s5():
 
 
 def test_tile_repr_and_plain_pair_lookup():
-    assert repr(Rhombus((2, 1), {3})) == "Rhombus((1, 2), {3})"
+    assert repr(ZonoTile((2, 1), {3})) == "ZonoTile((1, 2), {3})"
     assert repr(ZonoTile((3, 1, 2), set())) == "ZonoTile((1, 2, 3), {})"
-    assert ((1, 2), frozenset({3})) in {Rhombus((2, 1), {3})}
-    assert Rhombus((1, 2), {3}) == ZonoTile((1, 2), {3})
+    assert ((1, 2), frozenset({3})) in {ZonoTile((2, 1), {3})}
 
 
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda: Rhombus((1, 2, 3), frozenset()), "exactly 2 labels"),
         (lambda: ZonoTile((1,), frozenset()), "at least 2 labels"),
         (lambda: ZonoTile((2, 1, 2), frozenset()), "repeated tile label"),
-        (lambda: Rhombus((3, 3), frozenset()), "repeated tile label"),
+        (lambda: ZonoTile((3, 3), frozenset()), "repeated tile label"),
     ],
 )
 def test_tile_construction_still_checks_labels(make, message):
@@ -106,7 +103,7 @@ def test_tile_construction_still_checks_labels(make, message):
 def test_growth_single_tile():
     T = word_to_tiling(Word((1,), 2))
     assert T.w == Permutation((2, 1))
-    assert T.tiles == {Rhombus((1, 2), frozenset())}
+    assert T.tiles == {ZonoTile((1, 2), frozenset())}
 
 
 def test_growth_rejects_unreduced_word_naming_position():
@@ -123,7 +120,7 @@ def test_growth_on_the_17_letter_word():
     T = word_to_tiling(LONG_WORD)
     assert T.w == Permutation.from_string("7456312")
     assert len(T.tiles) == 17
-    assert Rhombus((3, 4), frozenset({1, 2})) in T.tiles
+    assert ZonoTile((3, 4), frozenset({1, 2})) in T.tiles
     assert validate(T)
 
 
@@ -216,12 +213,12 @@ def test_all_words_refuses_an_unpeelable_tile_set_at_once():
 def test_tile_count_is_length():
     for T in tilings_of(4):
         assert len(T.tiles) == T.w.length()
-        assert {t.pair for t in T.tiles} == inversions(T.w)
+        assert {t.labels for t in T.tiles} == inversions(T.w)
 
 
 def test_validate_rejects_bad_tilings():
     bad_base = RhombicTiling(
-        Permutation((2, 1)), frozenset({Rhombus((1, 2), frozenset({1}))})
+        Permutation((2, 1)), frozenset({ZonoTile((1, 2), frozenset({1}))})
     )
     assert not validate(bad_base)
     assert "disjoint" in validation_error(bad_base)
@@ -229,13 +226,13 @@ def test_validate_rejects_bad_tilings():
     w312 = Permutation((3, 1, 2))
     overlap = RhombicTiling(
         w312,
-        frozenset({Rhombus((1, 3), frozenset()), Rhombus((2, 3), frozenset())}),
+        frozenset({ZonoTile((1, 3), frozenset()), ZonoTile((2, 3), frozenset())}),
     )
     assert not validate(overlap)
     assert "peeling" in validation_error(overlap)
 
     not_inversion = RhombicTiling(
-        Permutation((2, 1, 3)), frozenset({Rhombus((1, 3), frozenset())})
+        Permutation((2, 1, 3)), frozenset({ZonoTile((1, 3), frozenset())})
     )
     assert "not an inversion" in validation_error(not_inversion)
 
@@ -243,7 +240,7 @@ def test_validate_rejects_bad_tilings():
     assert "not covered" in validation_error(missing)
 
     out_of_range = RhombicTiling(
-        Permutation((2, 1)), frozenset({Rhombus((1, 5), frozenset())})
+        Permutation((2, 1)), frozenset({ZonoTile((1, 5), frozenset())})
     )
     assert "outside" in validation_error(out_of_range)
 
@@ -358,7 +355,7 @@ def test_to_json_matches_json_dumps_with_two_digit_labels():
 def test_to_json_spells_tiles_by_the_tiling_not_the_tile():
     T = word_to_tiling(LONG_WORD)
     Z = ZonoTiling(T.w, T.tiles)
-    assert all(type(t) is Rhombus for t in Z.tiles)
+    assert all(type(t) is ZonoTile for t in Z.tiles)
     assert Z.to_json() == canonical_json_by_dumps(Z)
     assert Z.to_json() == T.to_json().replace('"pair"', '"labels"')
 

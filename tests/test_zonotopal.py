@@ -356,7 +356,7 @@ def test_validation_reports_the_least_bad_pair_first(kind):
     outside inv(w) and doubled is named as not an inversion."""
 
     def tiling(w, *tiles):
-        return kind(Permutation(w), frozenset(kind.tile_type(*t) for t in tiles))
+        return kind(Permutation(w), frozenset(ZonoTile(*t) for t in tiles))
 
     e = frozenset()
     same = tiling((1, 2, 3), ((1, 2), e), ((1, 2), {3}))
