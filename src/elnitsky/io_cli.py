@@ -32,7 +32,7 @@ from .tilings import (
     validation_error,
     word_to_tiling,
 )
-from .zonotopal import maximal_elements, poset, to_rhombic
+from .zonotopal import poset, to_rhombic
 
 __all__ = [
     "PolygonGeometry",
@@ -279,11 +279,11 @@ _UNIQUE_MAX_PATTERNS = ((4, 2, 3, 1), (4, 3, 1, 2), (3, 4, 2, 1))
 def _cmd_poset(args) -> None:
     w = parse_permutation(args.w)
     p = poset(w)
-    digest_of = dict(zip(p.elements, p.digests))
-    covers = sorted((digest_of[lo], digest_of[hi]) for lo, hi in p.covers)
-    for lo, hi in covers:
+    d = p.digests
+    for lo, hi in sorted((d[i], d[j]) for i, j in p.cover_indices):
         print(f"cover {lo} {hi}")
-    top = sorted(digest_of[z] for z in maximal_elements(p))
+    below_something = {i for i, _ in p.cover_indices}
+    top = [digest for i, digest in enumerate(d) if i not in below_something]
     for digest in top:
         print(f"maximal {digest}")
     print(f"unique_max {'true' if len(top) == 1 else 'false'}")

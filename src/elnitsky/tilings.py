@@ -112,9 +112,6 @@ class ZonoTile(NamedTuple("ZonoTile", [("labels", tuple), ("base", LabelSet)])):
             out.append(out[-1] - {x})
         return tuple(out)
 
-    def vertices(self) -> frozenset[LabelSet]:
-        return frozenset(self.corners())
-
     def __repr__(self) -> str:
         base = ", ".join(map(str, sorted(self.base)))
         return f"{type(self).__name__}({self.labels}, {{{base}}})"

@@ -10,11 +10,13 @@ edge inclusion (more edges = finer = smaller), whose minimal elements are
 exactly the rhombic tilings.  The order is computed tile-wise, from tile
 bases and tops only: Z <= Y iff every tile of Y is filled by the tiles of Z
 inside it, which is reverse edge inclusion by the argument in `ZonoPoset`.
+Below Y each tile is refined on its own, by a tiling of E(w0(k)) carried
+in by `_relabel`: rhombic ones give `refinements`, coatoms give the covers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from math import comb
 
@@ -93,22 +95,19 @@ class ZonoPoset:
     their digests in the same order; cover relations are computed on first
     use, one tiling at a time.
 
-    Why local merges give exactly the covers.  Reverse edge inclusion is
-    tile-wise refinement: Z <= Y iff every tile of Y is a union of tiles
+    Why relabelled coatoms give exactly the covers.  Reverse edge inclusion
+    is tile-wise refinement: Z <= Y iff every tile of Y is a union of tiles
     of Z, because no edge of Y crosses the interior of a tile of Z when Z
     has all of Y's edges, and the unit edges on a tile's boundary are edges
-    of the tiles inside it.  If the tiles of Z with S <= base and
-    top <= T number two or more and their areas C(k, 2) sum to
-    C(|T - S|, 2), they exactly tile the 2k-gon with base S and labels
-    T - S: tiles of one tiling cover distinct inversions, and area adds up
-    over label pairs.  Merging them into that one tile is a coarsening of
-    Z.  Any tiling between Z and such a merge differs from Z only inside
-    the merged region, where its tiles are unions of the group's tiles; so
-    the merge covers Z iff no proper subgroup tiles a 2k-gon of its own.
-    And every cover Z < Y is such a merge: a tile of Y that is not a tile
-    of Z is a union of two or more tiles of Z, and merging just those gives
-    a tiling between Z and Y.  So the covers are exactly the minimal
-    single-region merges.
+    of the tiles inside it.  If Z < Y, merging the tiles of Z inside a tile
+    t of Y that Z lacks gives a tiling in (Z, Y]; so Y covers Z only if they
+    differ in one tile t, which Z tiles by a group G.  The tilings between
+    keep Y's other tiles, so Y covers Z iff t covers G among the tilings of
+    t, which depends only on G.  `_relabel` renames labels 1..k to t's and
+    adds t's base, an order isomorphism from the tilings of E(w0(k)) onto
+    those of t.  So the lower covers of Y replace one tile t of k >= 3
+    labels by `_relabel(C, t)`, for each coatom C of E(w0(k)): a tiling
+    that the single 2k-gon covers.
     """
 
     w: Permutation
@@ -116,20 +115,21 @@ class ZonoPoset:
     digests: tuple[str, ...]
 
     @cached_property
-    def _cover_indices(self) -> tuple[tuple[int, int], ...]:
+    def cover_indices(self) -> tuple[tuple[int, int], ...]:
         """(lower, upper) index pairs into `elements`, one per cover."""
         index = {z.tiles: i for i, z in enumerate(self.elements)}
+        relabelled: dict = {}
         return tuple(
-            (i, index[merged])
-            for i, z in enumerate(self.elements)
-            for merged in _minimal_merges(z.tiles)
+            (index[lower], j)
+            for j, z in enumerate(self.elements)
+            for lower in _lower_covers(z.tiles, relabelled)
         )
 
     @cached_property
     def covers(self) -> frozenset[tuple[ZonoTiling, ZonoTiling]]:
         """(lower, upper) pairs with nothing strictly between."""
         e = self.elements
-        return frozenset((e[i], e[j]) for i, j in self._cover_indices)
+        return frozenset((e[i], e[j]) for i, j in self.cover_indices)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -138,31 +138,33 @@ class ZonoPoset:
         return f"ZonoPoset(w={self.w.to_string()}, {len(self.elements)} tilings)"
 
 
-def _minimal_merges(tiles: frozenset[ZonoTile]) -> list[frozenset[ZonoTile]]:
-    """Tile sets one cover above `tiles`: each minimal group of two or more
-    tiles that exactly tiles a 2k-gon, replaced by that single 2k-gon.
+def _lower_covers(tiles: frozenset[ZonoTile], relabelled: dict):
+    """Tile sets one cover below `tiles` (see `ZonoPoset`); `relabelled`
+    keeps each tile's relabelled coatoms for the next call."""
+    for t in tiles:
+        if t.size >= 3:
+            if t not in relabelled:
+                relabelled[t] = [_relabel(C, t) for C in _coatoms(t.size)]
+            rest = tiles - {t}
+            for C in relabelled[t]:
+                yield rest | C
 
-    The 2k-gon with base S and top T has S as the base of one of its tiles
-    and T as the top of one, so only those S and T are tried; see ZonoPoset."""
-    tiles = tuple(tiles)
-    tops = [base.union(labels) for labels, base in tiles]
-    areas = [comb(len(labels), 2) for labels, _ in tiles]
-    regions: dict[frozenset[int], ZonoTile] = {}
-    for S in {base for _, base in tiles}:
-        above = [i for i, (_, base) in enumerate(tiles) if S <= base]
-        for T in {tops[i] for i in above}:
-            k = len(T) - len(S)
-            if k < 3:
-                continue
-            group = frozenset(i for i in above if tops[i] <= T)
-            area = sum(areas[i] for i in group)
-            if len(group) >= 2 and area == comb(k, 2):
-                regions[group] = ZonoTile(tuple(T - S), S)
-    return [
-        frozenset(t for i, t in enumerate(tiles) if i not in group) | {merged}
-        for group, merged in regions.items()
-        if not any(other < group for other in regions)
-    ]
+
+@lru_cache(maxsize=None)
+def _coatoms(k: int) -> tuple[frozenset[ZonoTile], ...]:
+    """The tilings of E(w0(k)) that the single 2k-gon covers, as tile sets:
+    those of two or more tiles that no other such tiling covers, since a
+    chain up to one starts with a cover.  Their tiles have fewer than k
+    labels, a k-label tile covering all C(k, 2) inversions, so their lower
+    covers need only smaller tables, down to k = 2, where the one tiling is
+    a rhombus and the table is empty.  The length guard keeps C(k, 2) <= 20,
+    so k <= 6 and the cache holds at most five tables."""
+    tilings = enumerate_zonotopal(Permutation.longest(k))
+    multi = [z.tiles for z in tilings if len(z.tiles) >= 2]
+    index = {C: i for i, C in enumerate(multi)}
+    relabelled: dict = {}
+    below = {index[lower] for D in multi for lower in _lower_covers(D, relabelled)}
+    return tuple(C for i, C in enumerate(multi) if i not in below)
 
 
 def poset(w: Permutation) -> ZonoPoset:
@@ -172,7 +174,7 @@ def poset(w: Permutation) -> ZonoPoset:
 
 def maximal_elements(p: ZonoPoset) -> frozenset[ZonoTiling]:
     """Tilings with no upper cover."""
-    below_something = {i for i, _ in p._cover_indices}
+    below_something = {i for i, _ in p.cover_indices}
     return frozenset(
         z for i, z in enumerate(p.elements) if i not in below_something
     )
@@ -180,7 +182,7 @@ def maximal_elements(p: ZonoPoset) -> frozenset[ZonoTiling]:
 
 def minimal_elements(p: ZonoPoset) -> frozenset[ZonoTiling]:
     """Tilings with no lower cover."""
-    above_something = {j for _, j in p._cover_indices}
+    above_something = {j for _, j in p.cover_indices}
     return frozenset(
         z for i, z in enumerate(p.elements) if i not in above_something
     )
@@ -214,16 +216,16 @@ def refinements(Z: ZonoTiling) -> frozenset[RhombicTiling]:
     per_tile = []
     for tile in Z.canonical_tiles():
         sub = enumerate_rhombic(Permutation.longest(tile.size))
-        per_tile.append([_relabel(T, tile) for T in sub])
+        per_tile.append([_relabel(T.tiles, tile) for T in sub])
     return frozenset(
         RhombicTiling(Z.w, frozenset().union(*combo)) for combo in product(*per_tile)
     )
 
 
-def _relabel(T: RhombicTiling, tile: ZonoTile) -> frozenset[ZonoTile]:
-    """Transport a tiling of the reversal on {1..k} into `tile`'s 2k-gon."""
+def _relabel(tiles: frozenset[ZonoTile], tile: ZonoTile) -> frozenset[ZonoTile]:
+    """Transport tiles of E(w0(k)), labelled 1..k, into `tile`'s 2k-gon."""
     L = tile.labels
     return frozenset(
-        ZonoTile((L[a - 1], L[b - 1]), tile.base | {L[x - 1] for x in base})
-        for (a, b), base in T.tiles
+        ZonoTile([L[a - 1] for a in labels], tile.base | {L[x - 1] for x in base})
+        for labels, base in tiles
     )

@@ -599,14 +599,25 @@ POSET_STDOUT_SHA256 = {
     "4321": "3b8734aefb29acfd20ed1ec5e6586ffba19fefa14d5e9cf7972145145845a892",
     "4231": "ca658b6311539da32fb640f0cdff21e1ca663855339d15c5da3c98aded06de1e",
     "54321": "e3083fd7c27156550b1cdf323e70419fa9b2a3564c62b260b39c4597d392895d",
+    "654321": "fa6c263fe9a0c57e71063d5a4ea3712affabfdafec76f5b842a8e1ae1f5cfaf1",
+    "7654312": "c4fdc3c3920268e578c8e5678abe8058d540ba56ff2ec7b68f23d473e5f47366",
 }
 
 
-@pytest.mark.parametrize("w", sorted(POSET_STDOUT_SHA256))
+@pytest.mark.parametrize(
+    "w",
+    ["4231", "4321", "54321", "654321", pytest.param("7654312", marks=pytest.mark.long)],
+)
 def test_cli_poset_output_is_pinned(capsys, w):
-    code, out, _ = run(capsys, "poset", w)
-    assert code == 0
+    """Pinned stdout, from cold caches; 7654312 is the length guard's edge."""
+    enumerate_zonotopal.cache_clear()
+    elnitsky.zonotopal._coatoms.cache_clear()
+    start = time.perf_counter()
+    code, out, err = run(capsys, "poset", w)
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == POSET_STDOUT_SHA256[w]
+    assert elapsed < 10
 
 
 def test_cli_poincare(tmp_path, capsys):

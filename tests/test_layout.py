@@ -1,7 +1,8 @@
 """Layout rules, checked on the source text: the package imports only
 itself and the standard library, the brute-force oracle and the test
-helpers stay independent of the code they check, and `ZonoTile` is the
-package's one tile class."""
+helpers stay independent of the code they check, the CLI uses only the
+public names of the modules it calls, and `ZonoTile` is the package's one
+tile class."""
 import ast
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "elnitsky"
 HELPERS = ROOT / "tests" / "helpers.py"
+CLI = PACKAGE / "io_cli.py"
 
 
 def imports(path):
@@ -53,6 +55,23 @@ def test_helpers_import_no_private_names():
         if module.split(".")[0] == "elnitsky"
         for name in (*module.split("."), *names)
         if name.startswith("_")
+    ]
+    assert private == []
+
+
+def test_cli_uses_no_private_names_of_other_modules():
+    """io_cli imports no `_`-prefixed name and reads no `_`-prefixed
+    attribute, so what it needs from the library is public API."""
+    private = [
+        name
+        for module, level, names in imports(CLI)
+        for name in (*module.split("."), *names)
+        if name.startswith("_") and name != "__future__"
+    ]
+    private += [
+        node.attr
+        for node in ast.walk(ast.parse(CLI.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
     ]
     assert private == []
 

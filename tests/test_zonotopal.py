@@ -28,6 +28,7 @@ from elnitsky import (
 )
 from elnitsky.flips import apply_flip, coarsen_flip, flip_sites
 from elnitsky.tilings import validation_error
+from elnitsky.zonotopal import _coatoms, _relabel
 
 from helpers import (
     coarsening_order_by_pairs,
@@ -70,11 +71,11 @@ def test_tile_validation():
 
 def test_tile_vertices_and_edges():
     hexagon = ZonoTile((1, 2, 3), frozenset())
-    assert len(hexagon.vertices()) == 6
-    assert frozenset({2}) not in hexagon.vertices()
+    assert len(set(hexagon.corners())) == 6
+    assert frozenset({2}) not in set(hexagon.corners())
 
     square = ZonoTile((1, 2), frozenset({3}))
-    assert len(square.vertices()) == 4
+    assert len(set(square.corners())) == 4
     for tile in (hexagon, square):
         corners = tile.corners()
         # consecutive corners, cyclically, are the ends of one unit edge
@@ -204,8 +205,20 @@ def test_local_covers_match_the_pairwise_order_on_s1_to_s5():
             assert local_order(p) == coarsening_order_by_pairs(p)
 
 
+def test_coatom_tables():
+    assert [len(_coatoms(k)) for k in range(2, 7)] == [0, 2, 8, 40, 324]
+    for k in range(3, 6):
+        p = poset(Permutation.longest(k))
+        (top,) = maximal_elements(p)
+        (tile,) = top.tiles
+        covers, _, _ = coarsening_order_by_pairs(p)
+        below = {lo.tiles for lo, hi in covers if hi == top}
+        assert {_relabel(C, tile) for C in _coatoms(k)} == below
+
+
 def test_poset_at_the_rank_six_edge():
     enumerate_zonotopal.cache_clear()
+    _coatoms.cache_clear()
     start = time.perf_counter()
     p = poset(Permutation.longest(6))
     assert len(p) == 5161
