@@ -66,6 +66,7 @@ from .tilings import (
     all_words,
     enumerate_rhombic,
     enumerate_zonotopal,
+    peeling_orders,
     tiling_digest,
     tiling_to_word,
     validate,

@@ -23,9 +23,9 @@ from .tilings import (
     RhombicTiling,
     ZonoTile,
     ZonoTiling,
-    all_words,
     enumerate_rhombic,
     enumerate_zonotopal,
+    peeling_orders,
     polygon_vertices,
     prefix_sets,
     tiling_to_word,
@@ -246,8 +246,9 @@ def _cmd_tile(args) -> None:
 def _cmd_words(args) -> None:
     T = to_rhombic(parse_tiling(_read_input(args.tiling)))
     if args.all:
-        for word in sorted(all_words(T), key=lambda v: v.letters):
-            print(word.to_string())
+        write = sys.stdout.write
+        for letters in peeling_orders(T):
+            write(",".join(map(str, letters)) + "\n")
     else:
         print(tiling_to_word(T).to_string())
 

@@ -19,7 +19,14 @@ bijection with commutation classes of reduced words mechanical:
 * peeling a tiling reads letters back off, one per tile that sits on the
   current boundary.  Validation and word extraction share one greedy peel,
   smallest position first: a sitting tile stays sitting until it is peeled,
-  so greedy gets stuck iff no peeling order exists (see `_greedy_peel`).
+  so greedy gets stuck iff no peeling order exists (see `_greedy_peel`);
+* `all_words` walks the whole commutation class over merged boundaries,
+  each boundary reached once.  The boundary alone fixes which tiles are
+  peeled, because a peel inverts its own rhombus's pair, never un-inverts
+  one, and every inversion belongs to one tile.  A boundary's moves have
+  distinct letters and are taken in increasing order, and all words have
+  the same length, so the words stream out in lexicographic order (see
+  `peeling_orders`).
 
 Tile-set equality is the canonical form of a commutation class: two reduced
 words grow the same tile set iff they differ by commutation moves.  Its
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -54,6 +62,7 @@ __all__ = [
     "word_to_tiling",
     "tiling_to_word",
     "all_words",
+    "peeling_orders",
     "enumerate_rhombic",
     "enumerate_zonotopal",
     "validate",
@@ -225,7 +234,8 @@ def grow_word(word: Word) -> tuple[Permutation, list[ZonoTile]]:
 # A tile (labels, base) sits on the boundary u, a tuple of values, when the
 # base is a prefix of u and the labels continue it in increasing order;
 # peeling it reverses that segment of u.  One greedy loop, `_greedy_peel`,
-# serves `tiling_to_word`, `all_words` and `validation_error`.
+# serves `tiling_to_word`, `validation_error` and the refusal in
+# `peeling_orders`, which then walks every order over merged boundaries.
 
 def peel_position(u: tuple[int, ...], tile: ZonoTile) -> int | None:
     """0-based prefix length at which the tile sits on u, or None."""
@@ -239,13 +249,6 @@ def peel_position(u: tuple[int, ...], tile: ZonoTile) -> int | None:
 def peel_apply(u: tuple[int, ...], position: int, size: int) -> tuple[int, ...]:
     """Advance the boundary across a tile: reverse the segment after `position`."""
     return u[:position] + u[position : position + size][::-1] + u[position + size :]
-
-
-def _sitting(u: tuple[int, ...], tiles) -> list[tuple[int, ZonoTile]]:
-    """(position, tile) for every tile sitting on u, by position."""
-    found = [(p, t) for t in tiles if (p := peel_position(u, t)) is not None]
-    found.sort(key=lambda x: x[0])
-    return found
 
 
 def _greedy_peel(T: ZonoTiling) -> tuple[list[ZonoTile], tuple[int, ...]]:
@@ -271,17 +274,26 @@ def _greedy_peel(T: ZonoTiling) -> tuple[list[ZonoTile], tuple[int, ...]]:
       complete too.
 
     So any sitting tile may be peeled first, and from a tile set that some
-    order peels, every branch of `all_words` completes.
+    order peels, every path of `peeling_orders` completes.
     """
     u = tuple(range(1, T.n + 1))
     remaining = set(T.tiles)
     peeled = []
-    while sitting := _sitting(u, remaining):
-        p, tile = sitting[0]
+    while sitting := [
+        (p, t) for t in remaining if (p := peel_position(u, t)) is not None
+    ]:
+        p, tile = min(sitting, key=itemgetter(0))
         peeled.append(tile)
         remaining.remove(tile)
         u = peel_apply(u, p, tile.size)
     return peeled, u
+
+
+def _require_rhombi(T: ZonoTiling) -> None:
+    """Refuse T if any tile is larger than a rhombus: a letter peels two labels."""
+    for t in T.tiles:
+        if t.size != 2:
+            raise ValueError(f"not a rhombic tiling: tile {t!r} has {t.size} labels")
 
 
 def tiling_to_word(T: RhombicTiling) -> Word:
@@ -290,6 +302,7 @@ def tiling_to_word(T: RhombicTiling) -> Word:
     The result is the lexicographically least reduced word of T's commutation
     class, and word_to_tiling(result) == T.
     """
+    _require_rhombi(T)
     peeled, u = _greedy_peel(T)
     if len(peeled) < len(T.tiles):
         boundary = Permutation(u).to_string()
@@ -297,25 +310,87 @@ def tiling_to_word(T: RhombicTiling) -> Word:
     return Word(tuple(len(t.base) + 1 for t in peeled), T.n)
 
 
-def all_words(T: RhombicTiling) -> frozenset[Word]:
-    """All peeling orders of T: the full commutation class of its words.
+def peeling_orders(T: RhombicTiling) -> Iterator[tuple[int, ...]]:
+    """The letters of every peeling order of T, in lexicographic order: the
+    commutation class of T's words, streamed.
 
-    The greedy peel refuses a tile set no order peels; after it, every
-    branch of the walk completes, so its cost follows its output.
+    Refuses before it yields anything: a tile larger than a rhombus, more
+    tiles than the length guard allows, or a tile set no order peels (the
+    greedy peel gets stuck).  Then it records each boundary u reachable from
+    the base once, with its moves (letter, next boundary), and walks the
+    paths of that DAG.  Merging the orders that reach one u is exact, and
+    the walk yields the words in order:
+
+    * u alone fixes the tiles already peeled.  A peel inverts its rhombus's
+      pair and never un-inverts one, and as the greedy peel peeled every
+      tile, no two tiles share a pair (the second could never sit).  So the
+      peeled tiles are those whose pair u inverts, and none of them sits
+      again, its labels being out of order for good: the sitting test needs
+      no set of remaining tiles.  One left-to-right scan of u, growing the
+      prefix as a bitmask, looks each increasing neighbour pair up by code,
+      base bits above label bits.
+    * At most one tile sits at each position, so a boundary's moves have
+      distinct letters, and the scan finds them in increasing order.  Every
+      order has len(T.tiles) letters, so taking each boundary's moves in
+      increasing-letter order yields the words in lexicographic order.
+
+    Every path of the DAG peels every tile (see `_greedy_peel`), so the
+    walk's cost follows its output, and it holds the DAG and one path only.
     """
+    _require_rhombi(T)
     check_length_guard(len(T.tiles), "peeling-order enumeration")
     if len(_greedy_peel(T)[0]) < len(T.tiles):
         raise ValueError("malformed tiling: no complete peeling order exists")
-    results: list[tuple[int, ...]] = []
+    n = T.n
+    codes = {
+        sum(1 << x for x in base) << (n + 1) | 1 << a | 1 << b
+        for (a, b), base in T.tiles
+    }
+    start = tuple(range(1, n + 1))
+    moves: dict[tuple[int, ...], list] = {start: []}
+    todo = [start]
+    while todo:
+        u = todo.pop()
+        out = moves[u]
+        prefix = 0
+        for p in range(n - 1):
+            x, y = u[p], u[p + 1]
+            if x < y and (prefix << (n + 1) | 1 << x | 1 << y) in codes:
+                v = u[:p] + (y, x) + u[p + 2 :]
+                if v not in moves:
+                    moves[v] = []
+                    todo.append(v)
+                out.append((p + 1, moves[v]))
+            prefix |= 1 << x
+    return _walk(moves[start], len(T.tiles))
 
-    def peel(u: tuple[int, ...], remaining: frozenset[ZonoTile], acc: tuple[int, ...]):
-        if not remaining:
-            results.append(acc)
-        for p, tile in _sitting(u, remaining):
-            peel(peel_apply(u, p, tile.size), remaining - {tile}, acc + (p + 1,))
 
-    peel(tuple(range(1, T.n + 1)), T.tiles, ())
-    return frozenset(Word(x, T.n) for x in results)
+def _walk(root: list, length: int) -> Iterator[tuple[int, ...]]:
+    """The letters of every path of `length` moves from `root`, depth first
+    in move order; a node is its list of moves (letter, next node)."""
+    if not length:
+        yield ()
+        return
+    letters = [0] * length
+    last = length - 1
+    path = [iter(root)]
+    while path:
+        depth = len(path) - 1
+        for letter, after in path[-1]:
+            letters[depth] = letter
+            if depth == last:
+                yield tuple(letters)
+            else:
+                path.append(iter(after))
+                break
+        else:
+            path.pop()
+
+
+def all_words(T: RhombicTiling) -> frozenset[Word]:
+    """All peeling orders of T: the full commutation class of its words
+    (see `peeling_orders`)."""
+    return frozenset(Word(x, T.n) for x in peeling_orders(T))
 
 
 # ---------------------------------------------------------------------------

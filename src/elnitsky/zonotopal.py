@@ -25,6 +25,7 @@ from .tilings import (
     RhombicTiling,
     ZonoTile,
     ZonoTiling,
+    _require_rhombi,
     enumerate_rhombic,
     enumerate_zonotopal,
     sort_by_digest,
@@ -53,9 +54,7 @@ def to_rhombic(Z: ZonoTiling) -> RhombicTiling:
     """Z as a RhombicTiling; rejects tilings with any tile larger than a rhombus."""
     if isinstance(Z, RhombicTiling):
         return Z
-    for t in Z.tiles:
-        if t.size != 2:
-            raise ValueError(f"not a rhombic tiling: tile {t!r} has {t.size} labels")
+    _require_rhombi(Z)
     return RhombicTiling(Z.w, Z.tiles)
 
 

@@ -5,7 +5,8 @@ code under test: inversions by testing every pair, pattern containment by
 brute subsequence scan, Bruhat order by the subword property, fixed-point
 images by the wiring model, tilings by a memoized search over partial tile
 sets, census-constrained tilings by a fresh bounded search, peelability by
-a backtracking search over peeling orders, and the coarsening poset, its
+a backtracking search over peeling orders, every peeling order by a search
+that branches on each remaining tile, and the coarsening poset, its
 minimal upper bounds and the flip graph by comparing every pair of tilings,
 and canonical JSON by `json.dumps` of the tiles sorted from scratch.
 """
@@ -173,6 +174,26 @@ def peel_order_by_search(n, tiles):
         return False
 
     return peel(tuple(range(1, n + 1)), frozenset(tiles))
+
+
+def peeling_orders_by_search(T):
+    """The letters of every order that peels all of T's rhombi off the base
+    boundary, in the order found: at each boundary, every remaining tile is
+    tested for sitting and each sitting one is peeled on its own branch, so
+    a boundary reached by many prefixes is searched once per prefix."""
+    results = []
+
+    def peel(u, remaining, letters):
+        if not remaining:
+            results.append(letters)
+        for labels, base in remaining:
+            p, q = len(base), len(base) + len(labels)
+            if set(u[:p]) == base and u[p:q] == labels:
+                rest = remaining - {(labels, base)}
+                peel(u[:p] + labels[::-1] + u[q:], rest, letters + (p + 1,))
+
+    peel(tuple(range(1, T.n + 1)), frozenset(T.tiles), ())
+    return results
 
 
 def unpeelable_pairs_tiling(k):

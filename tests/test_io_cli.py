@@ -6,6 +6,7 @@ import sys
 import time
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,12 +35,16 @@ from elnitsky import (
     word_to_tiling,
 )
 
-from helpers import unpeelable_pairs_tiling
+from helpers import some_reduced_word, unpeelable_pairs_tiling
 
 T21 = word_to_tiling(Word((1,), 2))
 T121 = word_to_tiling(Word((1, 2, 1), 3))
 T121_JSON = T121.to_json()
 LONG_WORD = Word((3, 4, 2, 5, 6, 5, 3, 4, 3, 2, 1, 5, 2, 3, 6, 4, 5), 7)
+L20_TILING = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "l20.json"
+# stdout of `words bench/inputs/l20.json --all` (10,180 lines) as the
+# sorted-list implementation printed it
+L20_WORDS_SHA256 = "e79d8606ab2da2e5fe7040111f48a3403bdb4d28466894fda965237f70870fbc"
 HEX_JSON = ZonoTiling(
     Permutation((3, 2, 1)), frozenset({ZonoTile((1, 2, 3), frozenset())})
 ).to_json()
@@ -380,6 +385,29 @@ def test_cli_words(tmp_path, capsys):
     code, out, _ = run(capsys, "words", str(wide), "--all")
     assert code == 0
     assert out == "1,3\n3,1\n"
+
+
+def test_cli_words_all_streams_the_pinned_class_and_refuses_before_it(tmp_path, capsys):
+    code, out, err = run(capsys, "words", str(L20_TILING), "--all")
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 10180
+    assert hashlib.sha256(out.encode()).hexdigest() == L20_WORDS_SHA256
+
+    # l = 21 parses and validates, then the length guard refuses it
+    long21 = tmp_path / "l21.json"
+    long21.write_text(word_to_tiling(some_reduced_word(Permutation.longest(7))).to_json())
+    assert run(capsys, "words", str(long21), "--all") == (
+        2,
+        "",
+        "error: peeling-order enumeration refused: length 21 exceeds the guard 20\n",
+    )
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(unpeelable_pairs_tiling(10).to_json())
+    assert run(capsys, "words", str(pairs), "--all") == (
+        1,
+        "",
+        "error: tiles do not admit any peeling order from the base boundary\n",
+    )
 
 
 def test_cli_words_reads_stdin(monkeypatch, capsys):

@@ -3,11 +3,14 @@ import json
 import pickle
 import time
 from itertools import combinations
+from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from elnitsky import (
+    Coloring,
     GuardExceeded,
     NotReducedError,
     Permutation,
@@ -19,7 +22,11 @@ from elnitsky import (
     commutation_classes,
     enumerate_rhombic,
     enumerate_zonotopal,
+    fixed_point_images,
     inversions,
+    parse_tiling,
+    peeling_orders,
+    realize_fixed_point,
     reduced_words,
     tiling_digest,
     tiling_to_word,
@@ -34,6 +41,7 @@ from helpers import (
     canonical_json_by_dumps,
     inversions_by_pairs,
     peel_order_by_search,
+    peeling_orders_by_search,
     sample_permutations,
     some_reduced_word,
     symmetric_group,
@@ -42,6 +50,7 @@ from helpers import (
 
 LONG_WORD = Word((3, 4, 2, 5, 6, 5, 3, 4, 3, 2, 1, 5, 2, 3, 6, 4, 5), 7)
 PEEL_REFUSAL = "tiles do not admit any peeling order from the base boundary"
+L20_TILING = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "l20.json"
 
 
 def tilings_of(n):
@@ -195,6 +204,8 @@ def test_all_words_guard():
     assert len(big.tiles) == 21
     with pytest.raises(GuardExceeded):
         all_words(big)
+    with pytest.raises(GuardExceeded):
+        peeling_orders(big)  # at the call, before anything is yielded
 
 
 def test_all_words_refuses_an_unpeelable_tile_set_at_once():
@@ -208,6 +219,89 @@ def test_all_words_refuses_an_unpeelable_tile_set_at_once():
         all_words(T)
     assert time.perf_counter() - start < 0.1
     assert str(refused.value) == "malformed tiling: no complete peeling order exists"
+    with pytest.raises(ValueError, match="no complete peeling order exists"):
+        peeling_orders(T)
+
+
+def walk_matching_search(T):
+    """T's peeling orders, checked to come out as the search's, sorted."""
+    orders = list(peeling_orders(T))
+    assert orders == sorted(peeling_orders_by_search(T))
+    return orders
+
+
+def test_peeling_orders_match_the_search_on_s1_to_s5():
+    tilings = [T for n in range(1, 6) for T in tilings_of(n)]
+    assert len(tilings) == 529
+    for T in tilings:
+        words = walk_matching_search(T)
+        assert words[0] == tiling_to_word(T).letters
+
+
+def test_peeling_orders_match_the_search_at_l20():
+    T = parse_tiling(L20_TILING.read_text(encoding="utf-8"))
+    assert len(T.tiles) == 20
+    assert len(walk_matching_search(T)) == 10180
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_peeling_orders_of_commuting_letters(k):
+    T = word_to_tiling(Word(tuple(range(1, 2 * k, 2)), 2 * k))
+    assert len(walk_matching_search(T)) == factorial(k)
+
+
+@pytest.mark.long
+def test_peeling_orders_match_the_search_sampled_s6():
+    # the 908 tilings of 654321 hold all 292,864 of its reduced words
+    sample = sample_permutations(6, 12, seed=20261018) + [Permutation.longest(6)]
+    words = {
+        w: sum(len(walk_matching_search(T)) for T in enumerate_rhombic(w))
+        for w in sample
+    }
+    assert words[Permutation.longest(6)] == 292864
+
+
+def test_all_words_of_eight_commuting_letters_within_budget():
+    # best of three calls, so one burst of load on the host does not decide it
+    T = word_to_tiling(Word(tuple(range(1, 16, 2)), 16))
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        words = all_words(T)
+        best = min(best, time.perf_counter() - start)
+    assert len(words) == factorial(8)
+    assert best < 0.3
+
+
+def test_word_functions_refuse_tiles_larger_than_a_rhombus():
+    hexagon = ZonoTiling(
+        Permutation((3, 2, 1)), frozenset({ZonoTile((1, 2, 3), frozenset())})
+    )
+    refusals = [
+        tiling_to_word,
+        all_words,
+        peeling_orders,
+        fixed_point_images,
+        lambda T: realize_fixed_point(T, Coloring.all_light(T)),
+    ]
+    for refuse in refusals:
+        with pytest.raises(ValueError) as refused:
+            refuse(hexagon)
+        assert str(refused.value) == (
+            "not a rhombic tiling: tile ZonoTile((1, 2, 3), {}) has 3 labels"
+        )
+    coarse = [
+        Z
+        for n in range(3, 5)
+        for w in symmetric_group(n)
+        for Z in enumerate_zonotopal(w)
+        if any(t.size > 2 for t in Z.tiles)
+    ]
+    assert coarse
+    for Z in coarse:
+        for refuse in (tiling_to_word, all_words, peeling_orders):
+            with pytest.raises(ValueError, match="not a rhombic tiling"):
+                refuse(Z)
 
 
 def test_tile_count_is_length():
