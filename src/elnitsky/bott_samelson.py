@@ -11,6 +11,7 @@ four vertices are read off its `corners()`, the one tile geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .errors import check_length_guard
@@ -224,12 +225,21 @@ def realize_fixed_point(
     """
     if c.tiling != T:
         raise ValueError("coloring belongs to a different tiling")
+    tiles = _growth_order(T, peel_order)
+    base = prefix_sets(Permutation.identity(T.n))
+    return FixedPoint(_propagate(tiles, base, c.dark))
+
+
+@lru_cache(maxsize=64)
+def _growth_order(T: RhombicTiling, peel_order: Word | None) -> tuple[ZonoTile, ...]:
+    """T's rhombi in the growth order of `peel_order`, by default T's least
+    word, checked to grow T.  Cached, so a loop over T's colorings peels and
+    regrows T once, not once per coloring."""
     word = tiling_to_word(T) if peel_order is None else peel_order
     w, tiles = grow_word(word)
     if w != T.w or frozenset(tiles) != T.tiles:
         raise ValueError("peel order does not grow this tiling")
-    base = prefix_sets(Permutation.identity(T.n))
-    return FixedPoint(_propagate(tiles, base, c.dark))
+    return tuple(tiles)
 
 
 def image_permutation(T: RhombicTiling, c: Coloring) -> Permutation:

@@ -4,11 +4,13 @@ Everything here recomputes results by a different route than the library
 code under test: inversions by testing every pair, pattern containment by
 brute subsequence scan, Bruhat order by the subword property, fixed-point
 images by the wiring model, tilings by a memoized search over partial tile
-sets, census-constrained tilings by a fresh bounded search, peelability by
-a backtracking search over peeling orders, every peeling order by a search
-that branches on each remaining tile, and the coarsening poset, its
-minimal upper bounds and the flip graph by comparing every pair of tilings,
-and canonical JSON by `json.dumps` of the tiles sorted from scratch.
+sets and by a depth-first growth that reaches each partial tiling by one
+canonical placement order, census-constrained tilings by a fresh bounded
+search, peelability by a backtracking search over peeling orders, every
+peeling order by a search that branches on each remaining tile, and the
+coarsening poset, its minimal upper bounds and the flip graph by comparing
+every pair of tilings, and canonical JSON by `json.dumps` of the tiles
+sorted from scratch.
 """
 import json
 from itertools import combinations, permutations as value_tuples
@@ -150,6 +152,44 @@ def zonotopal_tile_sets(w):
 
     grow(Permutation.identity(w.n), frozenset())
     return found
+
+
+def tilings_by_canonical_growth(w, zonotopal=False):
+    """Every rhombic tiling of E(w), or every zonotopal one, by depth-first
+    growth with no memo: each partial tiling is reached by one placement
+    order only.  Two tiles can be placed in either order iff their segments
+    are disjoint, so the placement orders of one tile set differ by swaps of
+    adjacent disjoint tiles, and exactly one of them lists the tile
+    positions in lexicographically least order: the one in which, looking
+    back from the tile over p..q, the latest tile ending at or after p
+    overlaps it.  `reach[r]` is where the latest tile ending at or after r
+    starts (0 while there is none), so the test is reach[p] <= q.  A tile
+    fits over an increasing run of the boundary whose neighbours w inverts."""
+    n = w.n
+    max_run = n if zonotopal else 2
+    tiling_type = ZonoTiling if zonotopal else RhombicTiling
+    inv_w = inversions_by_pairs(w)
+    placed = []
+    complete = []
+
+    def grow(u, reach):
+        if u == w.values:
+            complete.append(tiling_type(w, frozenset(placed)))
+            return
+        for p in range(n - 1):
+            for q in range(p + 1, min(p + max_run, n)):
+                if (u[q - 1], u[q]) not in inv_w:
+                    break
+                if reach[p] <= q:
+                    placed.append(ZonoTile(u[p : q + 1], u[:p]))
+                    grow(
+                        u[:p] + u[p : q + 1][::-1] + u[q + 1 :],
+                        (p,) * (q + 1) + reach[q + 1 :],
+                    )
+                    placed.pop()
+
+    grow(tuple(range(1, n + 1)), (0,) * n)
+    return frozenset(complete)
 
 
 def peel_order_by_search(n, tiles):

@@ -45,7 +45,9 @@ from helpers import (
     sample_permutations,
     some_reduced_word,
     symmetric_group,
+    tilings_by_canonical_growth,
     unpeelable_pairs_tiling,
+    zonotopal_tile_sets,
 )
 
 LONG_WORD = Word((3, 4, 2, 5, 6, 5, 3, 4, 3, 2, 1, 5, 2, 3, 6, 4, 5), 7)
@@ -192,6 +194,72 @@ def test_enumeration_matches_oracle_bijection_s1_to_s5():
 def test_enumeration_matches_oracle_bijection_sampled_s6():
     for w in sample_permutations(6, 12, seed=20261018):
         assert enumerate_rhombic(w) == grown_from_each_class(w)
+
+
+@pytest.mark.parametrize("w", ["654321", "7463512"])
+def test_enumerations_match_the_canonical_growth(w):
+    w = Permutation.from_string(w)
+    assert enumerate_rhombic(w) == tilings_by_canonical_growth(w)
+    assert enumerate_zonotopal(w) == tilings_by_canonical_growth(w, zonotopal=True)
+
+
+@pytest.mark.long
+def test_enumerations_match_the_canonical_growth_at_7654312():
+    w = Permutation.from_string("7654312")
+    assert enumerate_rhombic(w) == tilings_by_canonical_growth(w)
+    assert enumerate_zonotopal(w) == tilings_by_canonical_growth(w, zonotopal=True)
+
+
+def direct_sum(w, v):
+    """w on 1..m followed by v on m+1..m+n: a pinch vertex at m."""
+    return Permutation(w.values + tuple(x + w.n for x in v.values))
+
+
+def check_direct_sums(max_rhombic_length):
+    """Both enumerations of w + v, for w and v in S1-S4, against the
+    memoized zonotopal search, and the rhombic one against one tiling per
+    commutation class where l(w) + l(v) <= max_rhombic_length."""
+    small = [w for n in range(1, 5) for w in symmetric_group(n)]
+    for a in small:
+        for b in small:
+            w = direct_sum(a, b)
+            zonotopal = enumerate_zonotopal(w)
+            assert {Z.tiles for Z in zonotopal} == zonotopal_tile_sets(w)
+            assert len(zonotopal) == len(enumerate_zonotopal(a)) * len(
+                enumerate_zonotopal(b)
+            )
+            if w.length() <= max_rhombic_length:
+                assert enumerate_rhombic(w) == grown_from_each_class(w)
+
+
+def test_direct_sums_match_the_oracles():
+    check_direct_sums(max_rhombic_length=7)
+
+
+@pytest.mark.long
+def test_direct_sums_match_the_oracles_at_every_length():
+    check_direct_sums(max_rhombic_length=12)
+
+
+@pytest.mark.parametrize("k", [16, 20])
+def test_commuting_pairs_enumerate_within_budget(k):
+    """2,1,4,3,...,2k,2k-1: k commuting inversions, one tiling."""
+    w = Permutation(tuple(v for i in range(1, k + 1) for v in (2 * i, 2 * i - 1)))
+    start = time.perf_counter()
+    tilings = enumerate_rhombic.__wrapped__(w)
+    assert time.perf_counter() - start < 0.1
+    assert tilings == {word_to_tiling(Word(tuple(range(1, 2 * k, 2)), 2 * k))}
+    assert enumerate_rhombic(w) == tilings
+
+
+def test_an_indecomposable_sparse_word_enumerates_within_budget():
+    T = word_to_tiling(Word(tuple(range(1, 20, 2)) + tuple(range(2, 19, 2)), 20))
+    assert T.w.values == (2, 4, 1, 6, 3, 8, 5, 10, 7, 12, 9, 14, 11, 16, 13, 18, 15, 20, 17, 19)
+    assert len(T.tiles) == 19
+    start = time.perf_counter()
+    tilings = enumerate_rhombic.__wrapped__(T.w)
+    assert time.perf_counter() - start < 0.5
+    assert tilings == {T}
 
 
 def test_enumeration_guard():
