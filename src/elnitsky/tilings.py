@@ -16,11 +16,13 @@ bijection with commutation classes of reduced words mechanical:
 * growing a tiling from a word sweeps a boundary (a permutation u, read off
   the edge labels from the bottom vertex) from the identity to w, emitting
   one rhombus per letter;
-* enumeration grows every tiling at once over merged boundaries.  The
-  partial tilings that reach u are the tilings of E(u), and all extend
-  alike, so each boundary is expanded once, carrying the set of tile sets
-  that reach it as int masks.  w is first split at its pinch vertices,
-  where no tile crosses, and the blocks' tilings multiply (see `_grow`);
+* enumeration grows every tiling at once, each by its one canonical
+  placement order, over merged states.  How a partial tiling may go on
+  depends only on its boundary u and on where its latest tiles start, so
+  equal states are expanded once, carrying the tile sets that reach them
+  as int masks.  w is first split at its pinch vertices, where no tile
+  crosses, and the blocks' tilings multiply (see `_grow` and
+  `_merge_block`);
 * peeling a tiling reads letters back off, one per tile that sits on the
   current boundary.  Validation and word extraction share one greedy peel,
   smallest position first: a sitting tile stays sitting until it is peeled,
@@ -47,7 +49,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -422,51 +424,40 @@ def enumerate_zonotopal(w: Permutation) -> frozenset[ZonoTiling]:
 def _grow(w: Permutation, max_run: int, tiling_type: type[ZonoTiling]) -> frozenset:
     """All tilings of E(w) by tiles of at most `max_run` labels.
 
-    A partial tiling grown from the identity reaches one boundary u, and the
-    tiles that may still be placed on it depend on u alone: they must tile
-    the region between u and w.  So the partial tilings that reach u, which
-    are exactly the tilings of E(u), all extend in the same ways, and the
-    engine merges them: each boundary maps to the set of tile sets reaching
-    it, and is expanded once, placing each fitting tile on every set at
-    once.  A tile set is an int mask with one bit per distinct tile, so a
-    placement is one `|` per set and equal sets reaching one boundary by
-    different orders merge in a Python set.  A k-label tile adds C(k, 2)
-    inversions, so boundaries are kept in layers by the number of
-    inversions placed and expanded layer by layer, each layer dropped once
-    expanded; the last layer holds w alone, whose masks are the tilings.
-
-    Before merging, w is split at its pinch vertices, the j with
-    w({1..j}) = {1..j}, found by one running-max scan.  No inversion of w
-    crosses a pinch vertex, so no tile does, and every tile between pinch
-    vertices i < j has {1..i} in its base: a tiling of E(w) is one tiling of
-    each block, and the tilings of E(w) are the product of the blocks'
-    tilings.  Blocks of one value hold no tile and cost nothing.  See
-    `_merge_block` for how a tile fits.
+    w is first split at its pinch vertices, the j with w({1..j}) = {1..j},
+    found by one running-max scan.  No inversion of w crosses a pinch
+    vertex, so no tile does, and every tile between pinch vertices i < j has
+    {1..i} in its base: a tiling of E(w) is one tiling of each block, and
+    the tilings of E(w) are the product of the blocks' tilings.  Blocks of
+    one value hold no tile and cost nothing.  `_merge_block` grows each
+    block; a tile set is an int mask with one bit per distinct tile in
+    `tiles`, decoded into the shared tiles at the end.
     """
     n = w.n
     fits = [0] * (n + 1)
     for a, b in inversions(w):
         fits[a] |= 1 << b
     tiles: list[ZonoTile] = []
-    masks = None
+    blocks = []
     lo = top = 0
     for hi, x in enumerate(w.values, 1):
         top = max(top, x)
         if top == hi:
             if hi - lo > 1:
-                block = _merge_block(w.values[lo:hi], lo, fits, max_run, tiles)
-                masks = block if masks is None else {m | b for m in masks for b in block}
+                blocks.append(_merge_block(w.values[lo:hi], lo, fits, max_run, tiles))
             lo = hi
-    if masks is None:
-        masks = {0}
+    masks = chain.from_iterable(blocks[0]) if blocks else [0]
+    for block in blocks[1:]:
+        masks = [m | b for m in masks for b in chain.from_iterable(block)]
     return frozenset(tiling_type(w, frozenset(_decode(m, tiles))) for m in masks)
 
 
 def _merge_block(
     target: tuple[int, ...], lo: int, fits: list[int], max_run: int, tiles: list
-) -> set[int]:
+) -> list[list[int]]:
     """The masks of every tiling of one block of w: the values lo+1..hi that
-    w puts at positions lo+1..hi, grown from the identity to `target`.
+    w puts at positions lo+1..hi, grown from the identity to `target`, as
+    lists whose concatenation lists each tiling once.
 
     At boundary u a tile fits over positions p..q when u increases there
     through values whose every pair is an inversion of w; placing it
@@ -477,6 +468,30 @@ def _merge_block(
     `ZonoTile` of the segment over {1..lo} and the values before it, and is
     appended to `tiles`, whose index is its mask bit; its code, one int with
     base bits above label bits, finds the bit again.
+
+    Each tile set is grown by one placement order only.  Two tiles can be
+    placed in either order iff their segments are disjoint (a tile's base is
+    the set of values before it, not their order, and overlapping segments
+    share a position whose value the first reversal moves).  So the
+    placement orders of one tile set differ by swaps of adjacent disjoint
+    tiles, and exactly one of them lists the tile positions in
+    lexicographically least order: the one in which, looking back from the
+    tile over p..q, the latest tile ending at or after p overlaps it,
+    because a disjoint one would lie to its right and could swap with it.
+    `reach[r]` is where the latest tile ending at or after r starts (0
+    while there is none), so the test is reach[p] <= q.
+
+    Which tiles may still be placed, and which of them keep the order
+    canonical, depend on the state (u, reach) alone, not on the tiles that
+    reached it.  So equal states merge: each maps to the list of masks that
+    reach it and is expanded once, placing each tile on every mask at once.
+    No mask reaches a state twice, since each tile set has one canonical
+    order, so the lists need no dedup.  A k-label tile adds C(k, 2)
+    inversions, so states are kept in layers by the number of inversions
+    placed and expanded layer by layer, each layer dropped once expanded;
+    the last layer holds the states at `target`.  With no merging this does
+    the work of a depth-first walk over the partial tilings, plus one dict
+    entry per state.
     """
     size = len(target)
     shift = lo + size + 1
@@ -485,10 +500,10 @@ def _merge_block(
     runs = [(p, range(p + 1, min(p + max_run, size))) for p in range(size - 1)]
     codes: dict[int, int] = {}
     layers: list = [{} for _ in range(length + 1)]
-    layers[0][tuple(range(lo + 1, lo + size + 1))] = {0}
+    layers[0][tuple(range(lo + 1, lo + size + 1)), (0,) * size] = [0]
     for level in range(length):
         layer, layers[level] = layers[level], None
-        for u, found in layer.items():
+        for (u, reach), found in layer.items():
             base = 0
             for p, run in runs:
                 x = u[p]
@@ -498,20 +513,24 @@ def _merge_block(
                     if not fits[x] >> y & 1:
                         break
                     labels |= 1 << y
-                    code = base << shift | labels
-                    bit = codes.get(code)
-                    if bit is None:
-                        bit = codes[code] = 1 << len(tiles)
-                        tiles.append(ZonoTile(u[p : q + 1], below.union(u[:p])))
-                    v = u[:p] + u[p : q + 1][::-1] + u[q + 1 :]
-                    after = layers[level + (q - p + 1) * (q - p) // 2]
-                    if v in after:
-                        after[v].update(map(bit.__or__, found))
-                    else:
-                        after[v] = set(map(bit.__or__, found))
+                    if reach[p] <= q:
+                        code = base << shift | labels
+                        bit = codes.get(code)
+                        if bit is None:
+                            bit = codes[code] = 1 << len(tiles)
+                            tiles.append(ZonoTile(u[p : q + 1], below.union(u[:p])))
+                        state = (
+                            u[:p] + u[p : q + 1][::-1] + u[q + 1 :],
+                            (p,) * (q + 1) + reach[q + 1 :],
+                        )
+                        after = layers[level + (q - p + 1) * (q - p) // 2]
+                        if state in after:
+                            after[state] += [bit | m for m in found]
+                        else:
+                            after[state] = [bit | m for m in found]
                     x = y
                 base |= 1 << u[p]
-    return layers[length][target]
+    return list(layers[length].values())
 
 
 def _decode(mask: int, tiles: list) -> Iterator[ZonoTile]:
