@@ -49,8 +49,8 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations
-from operator import attrgetter, itemgetter
+from itertools import accumulate, chain, combinations
+from operator import attrgetter, itemgetter, or_
 from typing import NamedTuple
 
 from .errors import (
@@ -464,10 +464,17 @@ def _merge_block(
     reverses that segment.  On an increasing run w puts the values in
     decreasing position order, so only neighbours need checking, one bit
     test each in the inversion table: bit y of fits[x] is set iff x < y and
-    w inverts (x, y).  A tile is built when it is first placed, as the
-    `ZonoTile` of the segment over {1..lo} and the values before it, and is
-    appended to `tiles`, whose index is its mask bit; its code, one int with
-    base bits above label bits, finds the bit again.
+    w inverts (x, y).  Each boundary carries `fitting`, whose bit r is set
+    iff its neighbours at r and r+1 pass that test, so tiles are sought
+    only where one can start.  A placement over p..q clears bits p..q-1,
+    where the values now decrease, and may set bits p-1 and q, never clear
+    them: inversions of w are transitive, so a < b < c with (a, b) and
+    (b, c) inverted has (a, c) inverted too.  It also carries `prefix`, where prefix[r] has the bits of the
+    values before position r, the base of a tile starting at r.  A tile is
+    built when it is first placed, as the `ZonoTile` of the segment over
+    {1..lo} and that base, and is appended to `tiles`, whose index is its
+    mask bit; its code, one int with base bits above label bits, finds the
+    bit again.
 
     Each tile set is grown by one placement order only.  Two tiles can be
     placed in either order iff their segments are disjoint (a tile's base is
@@ -489,48 +496,62 @@ def _merge_block(
     order, so the lists need no dedup.  A k-label tile adds C(k, 2)
     inversions, so states are kept in layers by the number of inversions
     placed and expanded layer by layer, each layer dropped once expanded;
-    the last layer holds the states at `target`.  With no merging this does
-    the work of a depth-first walk over the partial tilings, plus one dict
-    entry per state.
+    the last layer holds the states at `target`.  With nothing to merge this
+    costs about what a depth-first walk over the partial tilings costs: one
+    dict entry per state more, and no scan of the positions where no tile
+    can start.
     """
     size = len(target)
     shift = lo + size + 1
     below = frozenset(range(1, lo + 1))
     length = sum(fits[x].bit_count() for x in target)
-    runs = [(p, range(p + 1, min(p + max_run, size))) for p in range(size - 1)]
+    runs = [range(p + 1, min(p + max_run, size)) for p in range(size - 1)]
+    start = tuple(range(lo + 1, lo + size + 1))
+    prefix = tuple(accumulate((1 << x for x in start[:-1]), or_, initial=0))
+    fitting = sum((fits[x] >> x + 1 & 1) << r for r, x in enumerate(start[:-1]))
     codes: dict[int, int] = {}
     layers: list = [{} for _ in range(length + 1)]
-    layers[0][tuple(range(lo + 1, lo + size + 1)), (0,) * size] = [0]
+    layers[0][start, (0,) * size] = (prefix, fitting, [0])
     for level in range(length):
         layer, layers[level] = layers[level], None
-        for (u, reach), found in layer.items():
-            base = 0
-            for p, run in runs:
-                x = u[p]
-                labels = 1 << x
-                for q in run:
-                    y = u[q]
-                    if not fits[x] >> y & 1:
+        for (u, reach), (prefix, fitting, found) in layer.items():
+            starts = fitting
+            while starts:
+                low = starts & -starts
+                starts ^= low
+                p = low.bit_length() - 1
+                labels = 1 << u[p]
+                for q in runs[p]:
+                    if not fitting >> q - 1 & 1:
                         break
-                    labels |= 1 << y
-                    if reach[p] <= q:
-                        code = base << shift | labels
-                        bit = codes.get(code)
-                        if bit is None:
-                            bit = codes[code] = 1 << len(tiles)
-                            tiles.append(ZonoTile(u[p : q + 1], below.union(u[:p])))
-                        state = (
-                            u[:p] + u[p : q + 1][::-1] + u[q + 1 :],
-                            (p,) * (q + 1) + reach[q + 1 :],
-                        )
-                        after = layers[level + (q - p + 1) * (q - p) // 2]
-                        if state in after:
-                            after[state] += [bit | m for m in found]
-                        else:
-                            after[state] = [bit | m for m in found]
-                    x = y
-                base |= 1 << u[p]
-    return list(layers[length].values())
+                    labels |= 1 << u[q]
+                    if reach[p] > q:
+                        continue
+                    code = prefix[p] << shift | labels
+                    bit = codes.get(code)
+                    if bit is None:
+                        bit = codes[code] = 1 << len(tiles)
+                        tiles.append(ZonoTile(u[p : q + 1], below.union(u[:p])))
+                    v = u[:p] + u[p : q + 1][::-1] + u[q + 1 :]
+                    state = v, (p,) * (q + 1) + reach[q + 1 :]
+                    after = layers[level + (q - p + 1) * (q - p) // 2]
+                    if state in after:
+                        after[state][2].extend([bit | m for m in found])
+                        continue
+                    bases = [prefix[p]]
+                    for x in v[p:q]:
+                        bases.append(bases[-1] | 1 << x)
+                    refit = fitting & ~((1 << q) - low)
+                    if p and fits[v[p - 1]] >> v[p] & 1:
+                        refit |= low >> 1
+                    if q + 1 < size and fits[v[q]] >> v[q + 1] & 1:
+                        refit |= 1 << q
+                    after[state] = (
+                        prefix[:p] + tuple(bases) + prefix[q + 1 :],
+                        refit,
+                        [bit | m for m in found],
+                    )
+    return [found for _, _, found in layers[length].values()]
 
 
 def _decode(mask: int, tiles: list) -> Iterator[ZonoTile]:
