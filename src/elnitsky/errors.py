@@ -1,5 +1,13 @@
 """Shared exception types and enumeration guards."""
 
+__all__ = [
+    "LENGTH_GUARD",
+    "ZONO_RANK_GUARD",
+    "GuardExceeded",
+    "NotReducedError",
+    "check_length_guard",
+]
+
 # Enumerations over reduced words, tilings and colorings blow up factorially;
 # everything in this package is meant for desk-scale inputs.
 LENGTH_GUARD = 20

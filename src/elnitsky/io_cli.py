@@ -5,6 +5,11 @@ coordinates, but to draw one, each label i gets the unit direction at
 angle pi - (2i-1)pi/(2n), so the left boundary of E(w) traces half of a
 regular 2n-gon counterclockwise and every vertex label set S sits at the
 sum of its members' directions.
+
+Every subcommand is a fresh process, so each loads only what it runs.
+This module imports `errors`, `permutations` and `tilings`, which parsing
+and every subcommand need; a `_cmd_*` function imports any other module
+it calls (`flips`, `zonotopal` or `bott_samelson`) when it runs.
 """
 from __future__ import annotations
 
@@ -13,10 +18,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .bott_samelson import Coloring, fixed_point_images, poincare
 from .errors import GuardExceeded
-from .flips import flip_graph, to_dot
 from .permutations import Permutation, Word, contains_pattern
 from .tilings import (
     LabelSet,
@@ -29,10 +33,13 @@ from .tilings import (
     polygon_vertices,
     prefix_sets,
     tiling_to_word,
+    to_rhombic,
     validation_error,
     word_to_tiling,
 )
-from .zonotopal import poset, to_rhombic
+
+if TYPE_CHECKING:
+    from .bott_samelson import Coloring
 
 __all__ = [
     "PolygonGeometry",
@@ -266,6 +273,8 @@ def _cmd_enumerate(args) -> None:
 
 
 def _cmd_flipgraph(args) -> None:
+    from .flips import flip_graph, to_dot
+
     g = flip_graph(parse_permutation(args.w))
     if args.dot:
         sys.stdout.write(to_dot(g))
@@ -278,6 +287,8 @@ _UNIQUE_MAX_PATTERNS = ((4, 2, 3, 1), (4, 3, 1, 2), (3, 4, 2, 1))
 
 
 def _cmd_poset(args) -> None:
+    from .zonotopal import poset
+
     w = parse_permutation(args.w)
     p = poset(w)
     d = p.digests
@@ -296,11 +307,15 @@ def _cmd_poset(args) -> None:
 
 
 def _cmd_poincare(args) -> None:
+    from .bott_samelson import poincare
+
     tiling = parse_tiling(_read_input(args.tiling))
     print(json.dumps(list(poincare(tiling).coeffs)))
 
 
 def _cmd_fixedpoints(args) -> None:
+    from .bott_samelson import fixed_point_images
+
     T = to_rhombic(parse_tiling(_read_input(args.tiling)))
     images = fixed_point_images(T)
     print(f"fixed_points {2 ** len(T.tiles)}")
@@ -314,6 +329,8 @@ def _cmd_render(args) -> None:
     tiling = parse_tiling(_read_input(args.tiling))
     coloring = None
     if args.coloring is not None:
+        from .bott_samelson import Coloring
+
         coloring = Coloring.from_bits(to_rhombic(tiling), args.coloring)
         tiling = coloring.tiling
     svg = render_svg(tiling, RenderSpec(coloring=coloring))

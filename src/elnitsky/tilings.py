@@ -38,13 +38,11 @@ bijection with commutation classes of reduced words mechanical:
 Tile-set equality is the canonical form of a commutation class: two reduced
 words grow the same tile set iff they differ by commutation moves.  Its
 canonical JSON lists the tiles sorted by their `key`, (labels, sorted base),
-never as tuples; each tile computes that key and its two JSON lists once,
-and `to_json` joins them with string formatting, byte for byte what
-`json.dumps` would write.
+never as tuples; each tile computes that key and its JSON text once, and
+`to_json` joins those texts, byte for byte what `json.dumps` would write.
 """
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -66,6 +64,8 @@ __all__ = [
     "ZonoTile",
     "ZonoTiling",
     "RhombicTiling",
+    "from_rhombic",
+    "to_rhombic",
     "word_to_tiling",
     "tiling_to_word",
     "all_words",
@@ -112,9 +112,9 @@ class ZonoTile(NamedTuple("ZonoTile", [("labels", tuple), ("base", LabelSet)])):
         return (self.labels, tuple(sorted(self.base)))
 
     @cached_property
-    def json_lists(self) -> tuple[str, str]:
-        """The labels and the sorted base as JSON lists, written once."""
-        return str(list(self.labels)), str(list(self.key[1]))
+    def json_tail(self) -> str:
+        """The JSON text after the labels key, `[1, 2], "base": [3]`, written once."""
+        return f'{list(self.labels)}, "base": {list(self.key[1])}'
 
     def corners(self) -> tuple[LabelSet, ...]:
         """The 2k corners in cyclic order, the tile's one geometry: up the
@@ -155,12 +155,11 @@ class ZonoTiling:
 
     def to_json(self) -> str:
         """`json.dumps` of {"n", "w", "tiles": [{json_key, "base"}, ...]} with
-        the tiles in canonical order, written from each tile's cached lists."""
+        the tiles in canonical order, one join of their cached `json_tail`s."""
         head = f'{{"{self.json_key}": '
-        tiles = ", ".join(
-            f'{head}{labels}, "base": {base}}}'
-            for labels, base in (t.json_lists for t in self.canonical_tiles())
-        )
+        tiles = ("}, " + head).join([t.json_tail for t in self.canonical_tiles()])
+        if tiles:
+            tiles = f"{head}{tiles}}}"
         return f'{{"n": {self.n}, "w": {list(self.w.values)}, "tiles": [{tiles}]}}'
 
     def __repr__(self) -> str:
@@ -173,8 +172,30 @@ class RhombicTiling(ZonoTiling):
     json_key = "pair"
 
 
+def from_rhombic(T: RhombicTiling) -> ZonoTiling:
+    """View a rhombic tiling as a zonotopal one (every tile has k = 2)."""
+    return ZonoTiling(T.w, T.tiles)
+
+
+def to_rhombic(Z: ZonoTiling) -> RhombicTiling:
+    """Z as a RhombicTiling; rejects tilings with any tile larger than a rhombus."""
+    if isinstance(Z, RhombicTiling):
+        return Z
+    _require_rhombi(Z)
+    return RhombicTiling(Z.w, Z.tiles)
+
+
+def _require_rhombi(T: ZonoTiling) -> None:
+    """Refuse T if any tile is larger than a rhombus: a letter peels two labels."""
+    for t in T.tiles:
+        if t.size != 2:
+            raise ValueError(f"not a rhombic tiling: tile {t!r} has {t.size} labels")
+
+
 def tiling_digest(tiling: ZonoTiling) -> str:
     """Short stable digest of the canonical JSON form (rhombic or zonotopal)."""
+    import hashlib  # here, so that processes that take no digest never load it
+
     return hashlib.sha256(tiling.to_json().encode()).hexdigest()[:12]
 
 
@@ -294,13 +315,6 @@ def _greedy_peel(T: ZonoTiling) -> tuple[list[ZonoTile], tuple[int, ...]]:
         remaining.remove(tile)
         u = peel_apply(u, p, tile.size)
     return peeled, u
-
-
-def _require_rhombi(T: ZonoTiling) -> None:
-    """Refuse T if any tile is larger than a rhombus: a letter peels two labels."""
-    for t in T.tiles:
-        if t.size != 2:
-            raise ValueError(f"not a rhombic tiling: tile {t!r} has {t.size} labels")
 
 
 def tiling_to_word(T: RhombicTiling) -> Word:

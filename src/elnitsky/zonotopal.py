@@ -2,9 +2,9 @@
 
 A tile carries k >= 2 labels; its shape is the centrally symmetric 2k-gon
 swept by those k edge directions, and a rhombus is the k = 2 case.  The
-tile model, the growth engine behind `enumerate_zonotopal` and the
-validator live in `tilings`, shared with rhombic tilings; this module adds
-the coarsening order, the conversions to and from rhombic tilings, and
+tile model, the growth engine behind `enumerate_zonotopal`, the validator
+and the conversions to and from rhombic tilings live in `tilings`, shared
+with rhombic tilings; this module adds the coarsening order and
 refinement.  The tilings of E(w) by such tiles form a poset under reverse
 edge inclusion (more edges = finer = smaller), whose minimal elements are
 exactly the rhombic tilings.  The order is computed tile-wise, from tile
@@ -25,7 +25,6 @@ from .tilings import (
     RhombicTiling,
     ZonoTile,
     ZonoTiling,
-    _require_rhombi,
     enumerate_rhombic,
     enumerate_zonotopal,
     sort_by_digest,
@@ -40,22 +39,7 @@ __all__ = [
     "has_unique_max",
     "minimal_upper_bounds",
     "refinements",
-    "from_rhombic",
-    "to_rhombic",
 ]
-
-
-def from_rhombic(T: RhombicTiling) -> ZonoTiling:
-    """View a rhombic tiling as a zonotopal one (every tile has k = 2)."""
-    return ZonoTiling(T.w, T.tiles)
-
-
-def to_rhombic(Z: ZonoTiling) -> RhombicTiling:
-    """Z as a RhombicTiling; rejects tilings with any tile larger than a rhombus."""
-    if isinstance(Z, RhombicTiling):
-        return Z
-    _require_rhombi(Z)
-    return RhombicTiling(Z.w, Z.tiles)
 
 
 def zono_leq(Z1: ZonoTiling, Z2: ZonoTiling) -> bool:

@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
@@ -706,3 +708,61 @@ def test_cli_exit_codes(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 2, "w": [2, 1], "tiles": []}')
     assert run(capsys, "poincare", str(bad))[0] == 1
+
+
+# ---------------------------------------------------------------------------
+# start-up: each subcommand is a fresh process that loads only what it runs
+
+SRC = str(Path(elnitsky.io_cli.__file__).resolve().parent.parent)
+BASE_MODULES = {"errors", "permutations", "tilings", "io_cli"}
+# the modules each subcommand loads beyond BASE_MODULES; {t} is a tiling file
+SUBCOMMAND_MODULES = {
+    "tile 1": set(),
+    "enumerate 321": set(),
+    "enumerate 321 --zonotopal": set(),
+    "words {t}": set(),
+    "words {t} --all": set(),
+    "render {t}": set(),
+    "render {t} --coloring 101": {"bott_samelson"},
+    "flipgraph 321": {"flips"},
+    "poset 321": {"zonotopal"},
+    "poincare {t}": {"bott_samelson"},
+    "fixedpoints {t}": {"bott_samelson"},
+}
+# run main on argv[2:] with src (argv[1]) on the path, then print as JSON the
+# exit code, the `elnitsky` modules loaded and whether hashlib was loaded
+LOADED_MODULES = (
+    "import sys; sys.path.insert(0, sys.argv.pop(1)); "
+    "from elnitsky.io_cli import main; code = main(sys.argv[1:]); "
+    "import json; print(json.dumps([code, sorted(m for m in sys.modules "
+    "if m.startswith('elnitsky.')), 'hashlib' in sys.modules]))"
+)
+
+
+def test_cli_runs_as_a_module_with_a_clean_stderr(capsys):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "elnitsky.io_cli", "tile", "1"],
+        capture_output=True, text=True, env=env,
+    )
+    _, out, _ = run(capsys, "tile", "1")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+
+@pytest.mark.parametrize("argv", sorted(SUBCOMMAND_MODULES))
+def test_cli_subcommand_loads_only_the_modules_it_runs(tmp_path, argv):
+    path = tmp_path / "t.json"
+    path.write_text(T121_JSON)
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, SRC, *argv.format(t=path).split()],
+        capture_output=True, text=True,
+    )
+    assert proc.stderr == ""
+    code, loaded, hashlib_loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    modules = BASE_MODULES | SUBCOMMAND_MODULES[argv]
+    assert set(loaded) == {f"elnitsky.{m}" for m in modules}
+    if argv.split()[0] in ("tile", "enumerate"):
+        assert not hashlib_loaded

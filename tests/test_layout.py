@@ -1,8 +1,8 @@
 """Layout rules, checked on the source text: the package imports only
 itself and the standard library, the brute-force oracle and the test
 helpers stay independent of the code they check, the CLI uses only the
-public names of the modules it calls, and `ZonoTile` is the package's one
-tile class."""
+public names of the modules it calls, the package namespace imports none
+of its modules eagerly, and `ZonoTile` is the package's one tile class."""
 import ast
 import sys
 from pathlib import Path
@@ -11,17 +11,29 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "elnitsky"
 HELPERS = ROOT / "tests" / "helpers.py"
 CLI = PACKAGE / "io_cli.py"
+INIT = PACKAGE / "__init__.py"
 
 
-def imports(path):
-    """(module, level, names) of every import in a file; `from . import x`
-    gives the module "" at level 1."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+def imports(path, nodes=ast.walk):
+    """(module, level, names) of every import in a file, or of those among
+    `nodes` of its tree; `from . import x` gives the module "" at level 1."""
+    for node in nodes(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name, 0, ()
         elif isinstance(node, ast.ImportFrom):
             yield node.module or "", node.level, tuple(a.name for a in node.names)
+
+
+def module_level(tree):
+    """The nodes of a tree that run when the module is imported: all but
+    those inside a function."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
 
 
 def package_modules(module, level, names):
@@ -74,6 +86,17 @@ def test_cli_uses_no_private_names_of_other_modules():
         if isinstance(node, ast.Attribute) and node.attr.startswith("_")
     ]
     assert private == []
+
+
+def test_namespace_imports_no_package_module_at_module_level():
+    """`elnitsky/__init__.py` loads its modules lazily, on first use of a
+    name, so that a process loads only the modules it uses."""
+    eager = [
+        (module, level, names)
+        for module, level, names in imports(INIT, module_level)
+        if package_modules(module, level, names)
+    ]
+    assert eager == []
 
 
 def test_no_package_class_subclasses_the_tile():
