@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import check_length_guard
-from .permutations import Permutation, Word, apply_simple
+from .permutations import Permutation, Word
 from .tilings import (
     LabelSet,
     RhombicTiling,
@@ -267,7 +267,8 @@ def fixed_point_images(T: RhombicTiling) -> frozenset[Permutation]:
     light tile at letter j keeps v; a dark one, P | (Q - M), swaps v(j) and
     v(j+1).  So the sweep keeps distinct flags only: states |= {v s_j}."""
     check_length_guard(len(T.tiles), "fixed-point sweep")
-    states = {Permutation.identity(T.n)}
+    states = {tuple(range(1, T.n + 1))}
     for letter in tiling_to_word(T):
-        states |= {apply_simple(v, letter) for v in states}
-    return frozenset(states)
+        i = letter - 1
+        states |= {v[:i] + (v[i + 1], v[i]) + v[i + 2 :] for v in states}
+    return frozenset(map(Permutation, states))

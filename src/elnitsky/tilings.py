@@ -23,10 +23,12 @@ bijection with commutation classes of reduced words mechanical:
   as int masks.  w is first split at its pinch vertices, where no tile
   crosses, and the blocks' tilings multiply (see `_grow` and
   `_merge_block`);
-* peeling a tiling reads letters back off, one per tile that sits on the
-  current boundary.  Validation and word extraction share one greedy peel,
-  smallest position first: a sitting tile stays sitting until it is peeled,
-  so greedy gets stuck iff no peeling order exists (see `_greedy_peel`);
+* peeling a tiling reads letters back off the boundary u, one per tile
+  that sits on it: whose base is the set of values before position
+  len(base) and whose labels continue u there in increasing order.
+  Validation and word extraction share one greedy peel, smallest position
+  first: a sitting tile stays sitting until it is peeled, so greedy gets
+  stuck iff no peeling order exists (see `_greedy_peel`);
 * `all_words` walks the whole commutation class over merged boundaries,
   each boundary reached once.  The boundary alone fixes which tiles are
   peeled, because a peel inverts its own rhombus's pair, never un-inverts
@@ -44,7 +46,7 @@ never as tuples; each tile computes that key and its JSON text once, and
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, combinations
@@ -57,7 +59,7 @@ from .errors import (
     NotReducedError,
     check_length_guard,
 )
-from .permutations import Permutation, Word, apply_simple, inversions
+from .permutations import Permutation, Word, inversions
 
 __all__ = [
     "LabelSet",
@@ -243,48 +245,54 @@ def grow_word(word: Word) -> tuple[Permutation, list[ZonoTile]]:
     At boundary u, the letter i contributes the rhombus with pair
     {u(i), u(i+1)} based at the prefix {u(1), ..., u(i-1)}, after which the
     boundary advances by swapping positions i and i+1.  Raises
-    NotReducedError at the first letter that would swap a descent.
+    NotReducedError at the first letter that would swap a descent.  `Word`
+    bounds the letters, so u is a plain list until the end.
     """
-    u = Permutation.identity(word.n)
+    u = list(range(1, word.n + 1))
     tiles = []
     for k, letter in enumerate(word, 1):
-        a, b = u(letter), u(letter + 1)
+        a, b = u[letter - 1], u[letter]
         if a > b:
             raise NotReducedError(position=k, letter=letter)
-        tiles.append(ZonoTile((a, b), u.values[: letter - 1]))
-        u = apply_simple(u, letter)
-    return u, tiles
+        tiles.append(ZonoTile((a, b), u[: letter - 1]))
+        u[letter - 1], u[letter] = b, a
+    return Permutation(tuple(u)), tiles
 
 
 # ---------------------------------------------------------------------------
 # peeling: tiling -> word
 #
-# A tile (labels, base) sits on the boundary u, a tuple of values, when the
-# base is a prefix of u and the labels continue it in increasing order;
-# peeling it reverses that segment of u.  One greedy loop, `_greedy_peel`,
-# serves `tiling_to_word`, `validation_error` and the refusal in
-# `peeling_orders`, which then walks every order over merged boundaries.
+# A boundary is a tuple of values; peeling a tile reverses its segment.
+# `_sitting` is the one sitting test: `_greedy_peel` takes the first tile it
+# yields, and `peeling_orders` records them all.
 
-def peel_position(u: tuple[int, ...], tile: ZonoTile) -> int | None:
-    """0-based prefix length at which the tile sits on u, or None."""
-    labels, base = tile
-    p = len(base)
-    if u[p : p + len(labels)] == labels and frozenset(u[:p]) == base:
-        return p
-    return None
+def _sitting(tiles) -> Callable[[tuple[int, ...]], Iterator[tuple[int, ZonoTile]]]:
+    """The scan yielding, at a boundary u, the (position, tile) pairs of the
+    `tiles` sitting on u, in increasing position.  Tiles are grouped once by
+    the position p = len(base) where they can sit; a tile's k labels are
+    compared with u[p:p+k], and only on a match is its base checked to hold
+    the p values u[:p] (so to equal them)."""
+    groups: dict[int, list[ZonoTile]] = {}
+    for t in tiles:
+        groups.setdefault(len(t.base), []).append(t)
+    by_position = sorted(groups.items())
 
+    def scan(u: tuple[int, ...]) -> Iterator[tuple[int, ZonoTile]]:
+        for p, group in by_position:
+            for t in group:
+                if u[p : p + len(t.labels)] == t.labels and t.base.issuperset(u[:p]):
+                    yield p, t
 
-def peel_apply(u: tuple[int, ...], position: int, size: int) -> tuple[int, ...]:
-    """Advance the boundary across a tile: reverse the segment after `position`."""
-    return u[:position] + u[position : position + size][::-1] + u[position + size :]
+    return scan
 
 
 def _greedy_peel(T: ZonoTiling) -> tuple[list[ZonoTile], tuple[int, ...]]:
     """Peel the sitting tile at the smallest position until none sits.
 
-    Returns the tiles peeled, in order, and the boundary reached; a tile
-    sits at position len(tile.base).  Some order peels every tile iff this
-    one does, with no hypothesis on the tiles:
+    Returns the tiles peeled, in order, and the boundary reached; a peeled
+    tile's labels stay out of order (see below), so it never sits again.
+    Some order peels every tile iff this one does, with no hypothesis on the
+    tiles:
 
     * A peel reverses an increasing run, so it inverts pairs of values and
       never un-inverts one: once b precedes a < b, it does for good.
@@ -304,16 +312,13 @@ def _greedy_peel(T: ZonoTiling) -> tuple[list[ZonoTile], tuple[int, ...]]:
     So any sitting tile may be peeled first, and from a tile set that some
     order peels, every path of `peeling_orders` completes.
     """
+    sitting = _sitting(T.tiles)
     u = tuple(range(1, T.n + 1))
-    remaining = set(T.tiles)
     peeled = []
-    while sitting := [
-        (p, t) for t in remaining if (p := peel_position(u, t)) is not None
-    ]:
-        p, tile = min(sitting, key=itemgetter(0))
+    while first := next(sitting(u), None):
+        p, tile = first
         peeled.append(tile)
-        remaining.remove(tile)
-        u = peel_apply(u, p, tile.size)
+        u = u[:p] + tile.labels[::-1] + u[p + tile.size :]
     return peeled, u
 
 
@@ -338,19 +343,17 @@ def peeling_orders(T: RhombicTiling) -> Iterator[tuple[int, ...]]:
     Refuses before it yields anything: a tile larger than a rhombus, more
     tiles than the length guard allows, or a tile set no order peels (the
     greedy peel gets stuck).  Then it records each boundary u reachable from
-    the base once, with its moves (letter, next boundary), and walks the
-    paths of that DAG.  Merging the orders that reach one u is exact, and
-    the walk yields the words in order:
+    the base once, with its moves (letter, next boundary), one per tile that
+    `_sitting` finds on u, and walks the paths of that DAG.  Merging the
+    orders that reach one u is exact, and the walk yields the words in
+    order:
 
     * u alone fixes the tiles already peeled.  A peel inverts its rhombus's
       pair and never un-inverts one, and as the greedy peel peeled every
       tile, no two tiles share a pair (the second could never sit).  So the
       peeled tiles are those whose pair u inverts, and none of them sits
-      again, its labels being out of order for good: the sitting test needs
-      no set of remaining tiles.  One left-to-right scan of u, growing the
-      prefix as a bitmask, looks each increasing neighbour pair up by code,
-      base bits above label bits.
-    * At most one tile sits at each position, so a boundary's moves have
+      again, its labels being out of order for good.
+    * At most one rhombus sits at each position, so a boundary's moves have
       distinct letters, and the scan finds them in increasing order.  Every
       order has len(T.tiles) letters, so taking each boundary's moves in
       increasing-letter order yields the words in lexicographic order.
@@ -362,27 +365,19 @@ def peeling_orders(T: RhombicTiling) -> Iterator[tuple[int, ...]]:
     check_length_guard(len(T.tiles), "peeling-order enumeration")
     if len(_greedy_peel(T)[0]) < len(T.tiles):
         raise ValueError("malformed tiling: no complete peeling order exists")
-    n = T.n
-    codes = {
-        sum(1 << x for x in base) << (n + 1) | 1 << a | 1 << b
-        for (a, b), base in T.tiles
-    }
-    start = tuple(range(1, n + 1))
+    sitting = _sitting(T.tiles)
+    start = tuple(range(1, T.n + 1))
     moves: dict[tuple[int, ...], list] = {start: []}
     todo = [start]
     while todo:
         u = todo.pop()
         out = moves[u]
-        prefix = 0
-        for p in range(n - 1):
-            x, y = u[p], u[p + 1]
-            if x < y and (prefix << (n + 1) | 1 << x | 1 << y) in codes:
-                v = u[:p] + (y, x) + u[p + 2 :]
-                if v not in moves:
-                    moves[v] = []
-                    todo.append(v)
-                out.append((p + 1, moves[v]))
-            prefix |= 1 << x
+        for p, tile in sitting(u):
+            v = u[:p] + tile.labels[::-1] + u[p + 2 :]
+            if v not in moves:
+                moves[v] = []
+                todo.append(v)
+            out.append((p + 1, moves[v]))
     return _walk(moves[start], len(T.tiles))
 
 
@@ -483,12 +478,12 @@ def _merge_block(
     only where one can start.  A placement over p..q clears bits p..q-1,
     where the values now decrease, and may set bits p-1 and q, never clear
     them: inversions of w are transitive, so a < b < c with (a, b) and
-    (b, c) inverted has (a, c) inverted too.  It also carries `prefix`, where prefix[r] has the bits of the
-    values before position r, the base of a tile starting at r.  A tile is
-    built when it is first placed, as the `ZonoTile` of the segment over
-    {1..lo} and that base, and is appended to `tiles`, whose index is its
-    mask bit; its code, one int with base bits above label bits, finds the
-    bit again.
+    (b, c) inverted has (a, c) inverted too.  It also carries `prefix`,
+    where prefix[r] has the bits of the values before position r, the base
+    of a tile starting at r.  A tile is built when it is first placed, as
+    the `ZonoTile` of the segment over {1..lo} and that base, and is
+    appended to `tiles`, whose index is its mask bit; its code, one int with
+    base bits above label bits, finds the bit again.
 
     Each tile set is grown by one placement order only.  Two tiles can be
     placed in either order iff their segments are disjoint (a tile's base is

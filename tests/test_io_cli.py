@@ -453,6 +453,19 @@ def test_cli_refuses_an_unpeelable_tiling_at_once(tmp_path, capsys):
             )
 
 
+def test_cli_words_all_at_rank_100000_answers_within_budget(tmp_path, capsys):
+    """Two commuting tiles at rank 100,000: the peeling scan looks at the
+    tiles, not at every position of every boundary."""
+    code, out, _ = run(capsys, "tile", "1,3", "--n", "100000")
+    assert code == 0
+    path = tmp_path / "t13.json"
+    path.write_text(out)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "words", "--all", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (0, "1,3\n3,1\n", "")
+
+
 def test_cli_enumerate(capsys):
     code, out, _ = run(capsys, "enumerate", "321")
     assert code == 0

@@ -363,6 +363,26 @@ def test_all_words_of_eight_commuting_letters_within_budget():
     assert best < 0.3
 
 
+def test_peeling_orders_at_rank_100000_within_budget():
+    T = word_to_tiling(Word((1, 3), 100000))
+    start = time.perf_counter()
+    orders = list(peeling_orders(T))
+    assert time.perf_counter() - start < 0.5
+    assert orders == [(1, 3), (3, 1)]
+
+
+def test_word_to_tiling_at_rank_200000_within_budget():
+    word = Word(tuple(range(1, 40, 2)), 200000)
+    start = time.perf_counter()
+    T = word_to_tiling(word)
+    assert time.perf_counter() - start < 0.25
+    assert T.w.values[:40] == tuple(v for i in range(1, 21) for v in (2 * i, 2 * i - 1))
+    assert T.w.values[40:] == tuple(range(41, 200001))
+    assert T.tiles == {
+        ZonoTile((2 * i - 1, 2 * i), frozenset(range(1, 2 * i - 1))) for i in range(1, 21)
+    }
+
+
 def test_word_functions_refuse_tiles_larger_than_a_rhombus():
     hexagon = ZonoTiling(
         Permutation((3, 2, 1)), frozenset({ZonoTile((1, 2, 3), frozenset())})
