@@ -209,26 +209,28 @@ def parse_tiling(text: str) -> RhombicTiling | ZonoTiling:
     if not isinstance(data["tiles"], list):
         raise ValueError('"tiles" must be a list')
 
-    raw_tiles = []
+    tiles = set()
     zonotopal = False
     for entry in data["tiles"]:
         if not isinstance(entry, dict) or "base" not in entry:
             raise ValueError(f"malformed tile entry {entry!r}")
         base = frozenset(_int_list(entry["base"], "tile base"))
         if "pair" in entry:
-            pair = _int_list(entry["pair"], "tile pair")
-            if len(pair) != 2:
-                raise ValueError(f"tile pair must have 2 labels, got {pair!r}")
-            raw_tiles.append((tuple(pair), base))
+            labels = _int_list(entry["pair"], "tile pair")
+            if len(labels) != 2:
+                raise ValueError(f"tile pair must have 2 labels, got {labels!r}")
         elif "labels" in entry:
             labels = _int_list(entry["labels"], "tile labels")
-            raw_tiles.append((tuple(labels), base))
             zonotopal = True
         else:
             raise ValueError(f"tile entry {entry!r} has neither pair nor labels")
+        tile = ZonoTile(labels, base)
+        if tile in tiles:
+            raise ValueError(f"tile {tile!r} is listed more than once")
+        tiles.add(tile)
 
     kind = ZonoTiling if zonotopal else RhombicTiling
-    tiling = kind(w, frozenset(ZonoTile(ls, b) for ls, b in raw_tiles))
+    tiling = kind(w, frozenset(tiles))
     error = validation_error(tiling)
     if error:
         raise ValueError(error)

@@ -29,13 +29,14 @@ bijection with commutation classes of reduced words mechanical:
   Validation and word extraction share one greedy peel, smallest position
   first: a sitting tile stays sitting until it is peeled, so greedy gets
   stuck iff no peeling order exists (see `_greedy_peel`);
-* `all_words` walks the whole commutation class over merged boundaries,
-  each boundary reached once.  The boundary alone fixes which tiles are
-  peeled, because a peel inverts its own rhombus's pair, never un-inverts
-  one, and every inversion belongs to one tile.  A boundary's moves have
-  distinct letters and are taken in increasing order, and all words have
-  the same length, so the words stream out in lexicographic order (see
-  `peeling_orders`).
+* `all_words` walks the whole commutation class as the linear extensions
+  of the heap of the greedy peel's word.  A rhombus peels at position
+  len(base) in every order, so each tile has one letter and needs the
+  latest earlier tiles of letters one apart or equal; the walk's nodes are
+  the down-sets of that order, int masks of the tiles peeled, each reached
+  once.  A down-set's moves have distinct letters and are taken in
+  increasing order, and all words have the same length, so the words
+  stream out in lexicographic order (see `peeling_orders`).
 
 Tile-set equality is the canonical form of a commutation class: two reduced
 words grow the same tile set iff they differ by commutation moves.  Its
@@ -46,7 +47,7 @@ never as tuples; each tile computes that key and its JSON text once, and
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, combinations
@@ -262,37 +263,19 @@ def grow_word(word: Word) -> tuple[Permutation, list[ZonoTile]]:
 # ---------------------------------------------------------------------------
 # peeling: tiling -> word
 #
-# A boundary is a tuple of values; peeling a tile reverses its segment.
-# `_sitting` is the one sitting test: `_greedy_peel` takes the first tile it
-# yields, and `peeling_orders` records them all.
-
-def _sitting(tiles) -> Callable[[tuple[int, ...]], Iterator[tuple[int, ZonoTile]]]:
-    """The scan yielding, at a boundary u, the (position, tile) pairs of the
-    `tiles` sitting on u, in increasing position.  Tiles are grouped once by
-    the position p = len(base) where they can sit; a tile's k labels are
-    compared with u[p:p+k], and only on a match is its base checked to hold
-    the p values u[:p] (so to equal them)."""
-    groups: dict[int, list[ZonoTile]] = {}
-    for t in tiles:
-        groups.setdefault(len(t.base), []).append(t)
-    by_position = sorted(groups.items())
-
-    def scan(u: tuple[int, ...]) -> Iterator[tuple[int, ZonoTile]]:
-        for p, group in by_position:
-            for t in group:
-                if u[p : p + len(t.labels)] == t.labels and t.base.issuperset(u[:p]):
-                    yield p, t
-
-    return scan
-
+# A boundary is a tuple of values.  A tile sits on u when its base is the
+# set of values before position p = len(base) and its labels continue u
+# there in increasing order; peeling it reverses that segment.
 
 def _greedy_peel(T: ZonoTiling) -> tuple[list[ZonoTile], tuple[int, ...]]:
     """Peel the sitting tile at the smallest position until none sits.
 
-    Returns the tiles peeled, in order, and the boundary reached; a peeled
-    tile's labels stay out of order (see below), so it never sits again.
-    Some order peels every tile iff this one does, with no hypothesis on the
-    tiles:
+    Returns the tiles peeled, in order, and the boundary reached.  The tiles
+    are sorted once by the position p where each can sit; a tile's k labels
+    are compared with u[p:p+k], and only on a match is its base checked to
+    hold the p values u[:p] (so to equal them).  A peeled tile's labels stay
+    out of order (see below), so it never sits again.  Some order peels
+    every tile iff this one does, with no hypothesis on the tiles:
 
     * A peel reverses an increasing run, so it inverts pairs of values and
       never un-inverts one: once b precedes a < b, it does for good.
@@ -309,17 +292,20 @@ def _greedy_peel(T: ZonoTiling) -> tuple[list[ZonoTile], tuple[int, ...]]:
       neither their positions nor their bases: A, then s without A, is
       complete too.
 
-    So any sitting tile may be peeled first, and from a tile set that some
-    order peels, every path of `peeling_orders` completes.
+    So any sitting tile may be peeled first, and greedy gets stuck iff no
+    peeling order exists.
     """
-    sitting = _sitting(T.tiles)
+    by_position = sorted(((len(t.base), t) for t in T.tiles), key=itemgetter(0))
     u = tuple(range(1, T.n + 1))
     peeled = []
-    while first := next(sitting(u), None):
-        p, tile = first
-        peeled.append(tile)
-        u = u[:p] + tile.labels[::-1] + u[p + tile.size :]
-    return peeled, u
+    while True:
+        for p, t in by_position:
+            if u[p : p + len(t.labels)] == t.labels and t.base.issuperset(u[:p]):
+                break
+        else:
+            return peeled, u
+        peeled.append(t)
+        u = u[:p] + t.labels[::-1] + u[p + t.size :]
 
 
 def tiling_to_word(T: RhombicTiling) -> Word:
@@ -342,43 +328,47 @@ def peeling_orders(T: RhombicTiling) -> Iterator[tuple[int, ...]]:
 
     Refuses before it yields anything: a tile larger than a rhombus, more
     tiles than the length guard allows, or a tile set no order peels (the
-    greedy peel gets stuck).  Then it records each boundary u reachable from
-    the base once, with its moves (letter, next boundary), one per tile that
-    `_sitting` finds on u, and walks the paths of that DAG.  Merging the
-    orders that reach one u is exact, and the walk yields the words in
-    order:
-
-    * u alone fixes the tiles already peeled.  A peel inverts its rhombus's
-      pair and never un-inverts one, and as the greedy peel peeled every
-      tile, no two tiles share a pair (the second could never sit).  So the
-      peeled tiles are those whose pair u inverts, and none of them sits
-      again, its labels being out of order for good.
-    * At most one rhombus sits at each position, so a boundary's moves have
-      distinct letters, and the scan finds them in increasing order.  Every
-      order has len(T.tiles) letters, so taking each boundary's moves in
-      increasing-letter order yields the words in lexicographic order.
-
-    Every path of the DAG peels every tile (see `_greedy_peel`), so the
-    walk's cost follows its output, and it holds the DAG and one path only.
+    greedy peel gets stuck).  Otherwise the greedy order reads a word that
+    grows T, and T's words are its commutation class: the linear extensions
+    of its heap, where letters a and b with |a - b| <= 1 keep their order
+    and all others commute (Viennot, "Heaps of pieces I"; Stembridge).  A
+    rhombus peels at position len(base) in every order, so each tile has
+    one letter and needs only the latest earlier tiles of letters a - 1, a
+    and a + 1, a mask of tile bits.  The DAG's nodes are the heap's
+    down-sets, int masks of the tiles peeled, each recorded once; the moves
+    at one (letter, next node) are the unpeeled tiles whose needs it holds.
+    The later of two tiles of one letter needs the earlier, so the moves
+    have distinct letters; taken in increasing order, with every order
+    len(T.tiles) letters long, they yield the words in lexicographic order.
+    The walk's cost follows its output, and it holds the DAG and one path,
+    no boundary of rank n.
     """
     _require_rhombi(T)
     check_length_guard(len(T.tiles), "peeling-order enumeration")
-    if len(_greedy_peel(T)[0]) < len(T.tiles):
+    peeled = _greedy_peel(T)[0]
+    if len(peeled) < len(T.tiles):
         raise ValueError("malformed tiling: no complete peeling order exists")
-    sitting = _sitting(T.tiles)
-    start = tuple(range(1, T.n + 1))
-    moves: dict[tuple[int, ...], list] = {start: []}
-    todo = [start]
+    latest: dict[int, int] = {}
+    tiles = []
+    for k, t in enumerate(peeled):
+        a = len(t.base) + 1
+        need = latest.get(a - 1, 0) | latest.get(a, 0) | latest.get(a + 1, 0)
+        tiles.append((a, 1 << k, need))
+        latest[a] = 1 << k
+    tiles.sort()
+    moves: dict[int, list] = {0: []}
+    todo = [0]
     while todo:
-        u = todo.pop()
-        out = moves[u]
-        for p, tile in sitting(u):
-            v = u[:p] + tile.labels[::-1] + u[p + 2 :]
-            if v not in moves:
-                moves[v] = []
-                todo.append(v)
-            out.append((p + 1, moves[v]))
-    return _walk(moves[start], len(T.tiles))
+        done = todo.pop()
+        out = moves[done]
+        for a, bit, need in tiles:
+            if not done & bit and not need & ~done:
+                after = done | bit
+                if after not in moves:
+                    moves[after] = []
+                    todo.append(after)
+                out.append((a, moves[after]))
+    return _walk(moves[0], len(peeled))
 
 
 def _walk(root: list, length: int) -> Iterator[tuple[int, ...]]:

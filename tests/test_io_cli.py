@@ -412,6 +412,29 @@ def test_cli_words_all_streams_the_pinned_class_and_refuses_before_it(tmp_path, 
     )
 
 
+def test_cli_refuses_a_tile_listed_twice(tmp_path, capsys):
+    """The validator sees a tile set, so a repeated tile must be caught
+    while parsing: (2, 1) spells the pair (1, 2) again."""
+    twice = tmp_path / "twice.json"
+    twice.write_text(
+        '{"n": 2, "w": [2, 1], "tiles": [{"pair": [1, 2], "base": []},'
+        ' {"pair": [2, 1], "base": []}]}'
+    )
+    assert run(capsys, "words", str(twice)) == (
+        1,
+        "",
+        "error: tile ZonoTile((1, 2), {}) is listed more than once\n",
+    )
+    hexagons = tmp_path / "hexagons.json"
+    hexagons.write_text(
+        '{"n": 4, "w": [3, 2, 1, 4], "tiles": [{"labels": [1, 2, 3], "base": []},'
+        ' {"labels": [3, 1, 2], "base": []}]}'
+    )
+    code, out, err = run(capsys, "words", str(hexagons))
+    assert (code, out) == (1, "")
+    assert err == "error: tile ZonoTile((1, 2, 3), {}) is listed more than once\n"
+
+
 def test_cli_words_reads_stdin(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(T121_JSON))
     code, out, _ = run(capsys, "words", "-")

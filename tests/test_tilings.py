@@ -1,7 +1,9 @@
 import copy
 import json
 import pickle
+import random
 import time
+import tracemalloc
 from itertools import combinations
 from math import factorial
 from pathlib import Path
@@ -349,6 +351,32 @@ def test_peeling_orders_match_the_search_sampled_s6():
         for w in sample
     }
     assert words[Permutation.longest(6)] == 292864
+
+
+@pytest.mark.long
+def test_peeling_orders_match_the_search_near_the_length_guard():
+    """Seeded tilings of six S7 permutations with 18 <= l <= 20; with this
+    seed the classes hold 286 to 342,940 words."""
+    rng = random.Random(20261019)
+    near = [w for w in symmetric_group(7) if 18 <= w.length() <= 20]
+    for w in rng.sample(near, 6):
+        T = rng.choice(sorted(enumerate_rhombic(w), key=tiling_digest))
+        assert walk_matching_search(T)[0] == tiling_to_word(T).letters
+
+
+def test_peeling_orders_hold_no_boundary_of_rank_n():
+    """The walk's DAG is keyed by masks of tiles peeled: ten commuting
+    letters at rank 5,000 take under 4 MB before the first word, where a
+    DAG keyed by boundaries would hold 1,024 of them, 5,000 values each."""
+    T = word_to_tiling(Word(tuple(range(1, 20, 2)), 5000))
+    tracemalloc.start()
+    try:
+        first = next(peeling_orders(T))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == tuple(range(1, 20, 2))
+    assert peak < 4_000_000
 
 
 def test_all_words_of_eight_commuting_letters_within_budget():
