@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
+from operator import sub
 
 from .errors import check_length_guard
 from .permutations import Permutation, Word
@@ -96,10 +97,11 @@ def q_factorial(i: int) -> QPolynomial:
     """[i]_q! = [i]_q [i-1]_q ... [1]_q; degree i(i-1)/2, value i! at q=1."""
     if i < 1:
         raise ValueError(f"q-factorial needs a positive integer, got {i}")
-    result = QPolynomial.one()
+    coeffs = [1]
     for j in range(2, i + 1):
-        result = result * QPolynomial((1,) * j)
-    return result
+        # times [j]_q = (1 - q^j) / (1 - q): subtract the shift by j, then sum
+        coeffs = list(accumulate(map(sub, coeffs + [0] * (j - 1), [0] * j + coeffs)))
+    return QPolynomial(tuple(coeffs))
 
 
 def poincare(Z) -> QPolynomial:

@@ -1,11 +1,11 @@
 """Hexagon flips between rhombic tilings, and the flip graph on all of them.
 
 Three rhombi meeting at an interior vertex of degree 3 fill a unit hexagon
-with label triple a < b < c; the hexagon admits exactly two rhombic
-tilings, distinguished by their interior vertex (base plus {b}, or base
-plus {a, c}).  A flip exchanges one for the other.  Coarsening instead
-replaces the three rhombi by the hexagon itself, producing a zonotopal
-tiling that both flip partners refine.
+with label triple a < b < c, found from its {a, c} rhombus, the long
+diagonal.  The hexagon has exactly two rhombic tilings, with interior vertex
+base plus {b} or base plus {a, c}, and a flip exchanges them.  Coarsening
+instead replaces the three rhombi by the hexagon, a zonotopal tiling that
+both flip partners refine.
 """
 from __future__ import annotations
 
@@ -48,19 +48,20 @@ def _triple(labels: tuple[int, int, int], base: LabelSet, orientation: str):
     return frozenset({((a, c), base), ((b, c), base | {a}), ((a, b), base | {c})})
 
 
-def _hexagons(tiles: frozenset[ZonoTile], n: int, orientation: str):
-    """(labels, base) of every hexagon that the rhombi fill in `orientation`,
-    found from its {a, b} rhombus (interior-b) or its {a, c} rhombus
-    (interior-ac), the one of the three that sits at the hexagon's base."""
-    for (x, y), S in tiles:
-        if orientation == INTERIOR_B:
-            for c in range(y + 1, n + 1):
-                if ((y, c), S) in tiles and ((x, c), S | {y}) in tiles:
-                    yield (x, y, c), S
-        else:
-            for b in range(x + 1, y):
-                if ((b, y), S | {x}) in tiles and ((x, b), S | {y}) in tiles:
-                    yield (x, b, y), S
+def _hexagons(tiles: frozenset[ZonoTile], orientation: str):
+    """(labels, base) of every hexagon the rhombi fill in `orientation`, from
+    its {a, c} rhombus on base S: a b in S strictly between a and c closes an
+    interior-b hexagon on S - {b}, and a b outside S an interior-ac one on S.
+    Only those b are read, fewer than l(w) in a valid tiling, never the rank."""
+    for (a, c), S in tiles:
+        for b in range(a + 1, c):
+            if b in S and orientation == INTERIOR_B:
+                base = S - {b}
+                if ((a, b), base) in tiles and ((b, c), base) in tiles:
+                    yield (a, b, c), base
+            elif b not in S and orientation == INTERIOR_AC:
+                if ((a, b), S | {c}) in tiles and ((b, c), S | {a}) in tiles:
+                    yield (a, b, c), S
 
 
 @dataclass(frozen=True)
@@ -111,17 +112,18 @@ def flip_sites(T: RhombicTiling) -> frozenset[FlipSite]:
     return frozenset(
         FlipSite(labels, base, orientation)
         for orientation in (INTERIOR_B, INTERIOR_AC)
-        for labels, base in _hexagons(T.tiles, T.n, orientation)
+        for labels, base in _hexagons(T.tiles, orientation)
     )
 
 
-def _present_orientation(T: RhombicTiling, f: FlipSite) -> FlipSite:
-    """The site oriented as it actually sits in T; the same hexagon location
-    is accepted in either orientation so a flip can be undone with the same
-    site object."""
+def _present(T: RhombicTiling, f: FlipSite) -> tuple[FlipSite, frozenset]:
+    """The site oriented as it actually sits in T, and T's tiles outside its
+    hexagon; the same hexagon location is accepted in either orientation so
+    a flip can be undone with the same site object."""
     for g in (f, f.flipped()):
-        if _triple(g.labels, g.base, g.orientation) <= T.tiles:
-            return g
+        triple = _triple(g.labels, g.base, g.orientation)
+        if triple <= T.tiles:
+            return g, T.tiles - triple
     raise ValueError(
         f"no flippable hexagon with labels {f.labels} at base {sorted(f.base)}"
     )
@@ -129,8 +131,7 @@ def _present_orientation(T: RhombicTiling, f: FlipSite) -> FlipSite:
 
 def apply_flip(T: RhombicTiling, f: FlipSite) -> RhombicTiling:
     """Exchange the three rhombi of f's hexagon for the other three."""
-    f = _present_orientation(T, f)
-    kept = T.tiles - _triple(f.labels, f.base, f.orientation)
+    f, kept = _present(T, f)
     return RhombicTiling(T.w, kept | f.flipped_tiles())
 
 
@@ -140,8 +141,7 @@ def coarsen_flip(T: RhombicTiling, f: FlipSite) -> ZonoTiling:
     Both flip partners coarsen to the same tiling and are exactly its
     rhombic refinements differing over that hexagon.
     """
-    f = _present_orientation(T, f)
-    kept = T.tiles - _triple(f.labels, f.base, f.orientation)
+    f, kept = _present(T, f)
     return ZonoTiling(T.w, kept | {ZonoTile(f.labels, f.base)})
 
 
@@ -193,7 +193,7 @@ def flip_graph(w: Permutation) -> FlipGraph:
     digest_of = {T.tiles: d for d, T in zip(digests, nodes)}
     arcs = []
     for d, T in zip(digests, nodes):
-        for labels, base in _hexagons(T.tiles, w.n, INTERIOR_B):
+        for labels, base in _hexagons(T.tiles, INTERIOR_B):
             flipped = (T.tiles - _triple(labels, base, INTERIOR_B)) | _triple(
                 labels, base, INTERIOR_AC
             )

@@ -294,8 +294,8 @@ def _cmd_poset(args) -> None:
     w = parse_permutation(args.w)
     p = poset(w)
     d = p.digests
-    for lo, hi in sorted((d[i], d[j]) for i, j in p.cover_indices):
-        print(f"cover {lo} {hi}")
+    for i, j in sorted(p.cover_indices):  # index order is digest order
+        print(f"cover {d[i]} {d[j]}")
     below_something = {i for i, _ in p.cover_indices}
     top = [digest for i, digest in enumerate(d) if i not in below_something]
     for digest in top:

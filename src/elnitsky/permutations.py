@@ -234,28 +234,14 @@ def weak_leq(u: Permutation, w: Permutation) -> bool:
 
 
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
-    """Strong Bruhat order via the dominance criterion.
-
-    u <= w iff for all i, j:  #{k <= i : u(k) >= j}  <=  #{k <= i : w(k) >= j}.
-    """
+    """Strong Bruhat order by Ehresmann's tableau criterion: u <= w iff, for
+    every i, sorted u(1..i) lies entrywise at or below sorted w(1..i)."""
     _check_same_rank(u, w)
-    n = u.n
-    ucount = _upper_left_counts(u)
-    wcount = _upper_left_counts(w)
-    return all(
-        ucount[i][j] <= wcount[i][j]
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    )
-
-
-def _upper_left_counts(w: Permutation) -> list[list[int]]:
-    """Table c[i][j] = #{k <= i : w(k) >= j}, row 0 all zeros."""
-    n = w.n
-    c = [[0] * (n + 1)]
-    for i in range(1, n + 1):
-        row = list(c[-1])
-        for j in range(1, w(i) + 1):
-            row[j] += 1
-        c.append(row)
-    return c
+    uprefix: list[int] = []
+    wprefix: list[int] = []
+    for x, y in zip(u.values, w.values):
+        insort(uprefix, x)
+        insort(wprefix, y)
+        if any(a > b for a, b in zip(uprefix, wprefix)):
+            return False
+    return True
