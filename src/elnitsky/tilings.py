@@ -17,12 +17,12 @@ bijection with commutation classes of reduced words mechanical:
   the edge labels from the bottom vertex) from the identity to w, emitting
   one rhombus per letter;
 * enumeration grows every tiling at once, each by its one canonical
-  placement order, over merged states.  How a partial tiling may go on
-  depends only on its boundary u and on where its latest tiles start, so
-  equal states are expanded once, carrying the tile sets that reach them
-  as int masks.  w is first split at its pinch vertices, where no tile
-  crosses, and the blocks' tilings multiply (see `_grow` and
-  `_merge_block`);
+  placement order.  How a partial tiling may go on depends only on its
+  boundary u and on where its latest tiles start, so each such state is
+  one node of a graph of placements, expanded once, and the tilings are
+  the graph's paths.  w is first split at its pinch vertices, where no
+  tile crosses, and each block's graph ends in the next one's root (see
+  `_grow` and `_block_graph`);
 * peeling a tiling reads letters back off the boundary u, one per tile
   that sits on it: whose base is the set of values before position
   len(base) and whose labels continue u there in increasing order.
@@ -50,7 +50,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, combinations
 from operator import attrgetter, itemgetter, or_
 from typing import NamedTuple
 
@@ -340,8 +340,9 @@ def peeling_orders(T: RhombicTiling) -> Iterator[tuple[int, ...]]:
     The later of two tiles of one letter needs the earlier, so the moves
     have distinct letters; taken in increasing order, with every order
     len(T.tiles) letters long, they yield the words in lexicographic order.
-    The walk's cost follows its output, and it holds the DAG and one path,
-    no boundary of rank n.
+    `_walk`, which also lists the tilings of `_grow`, streams the paths:
+    its cost follows its output, and it holds the DAG and one path, no
+    boundary of rank n.
     """
     _require_rhombi(T)
     check_length_guard(len(T.tiles), "peeling-order enumeration")
@@ -368,29 +369,30 @@ def peeling_orders(T: RhombicTiling) -> Iterator[tuple[int, ...]]:
                     moves[after] = []
                     todo.append(after)
                 out.append((a, moves[after]))
-    return _walk(moves[0], len(peeled))
+    return _walk(moves[0])
 
 
-def _walk(root: list, length: int) -> Iterator[tuple[int, ...]]:
-    """The letters of every path of `length` moves from `root`, depth first
-    in move order; a node is its list of moves (letter, next node)."""
-    if not length:
+def _walk(root: list) -> Iterator[tuple]:
+    """The labels of every path from `root` to a node with no moves, depth
+    first in move order; a node is its list of moves (label, next node)."""
+    if not root:
         yield ()
         return
-    letters = [0] * length
-    last = length - 1
+    labels = []
     path = [iter(root)]
-    while path:
-        depth = len(path) - 1
-        for letter, after in path[-1]:
-            letters[depth] = letter
-            if depth == last:
-                yield tuple(letters)
+    while True:
+        for label, after in path[-1]:
+            if not after:
+                yield (*labels, label)
             else:
+                labels.append(label)
                 path.append(iter(after))
                 break
         else:
             path.pop()
+            if not path:
+                return
+            labels.pop()
 
 
 def all_words(T: RhombicTiling) -> frozenset[Word]:
@@ -426,37 +428,35 @@ def _grow(w: Permutation, max_run: int, tiling_type: type[ZonoTiling]) -> frozen
     w is first split at its pinch vertices, the j with w({1..j}) = {1..j},
     found by one running-max scan.  No inversion of w crosses a pinch
     vertex, so no tile does, and every tile between pinch vertices i < j has
-    {1..i} in its base: a tiling of E(w) is one tiling of each block, and
-    the tilings of E(w) are the product of the blocks' tilings.  Blocks of
-    one value hold no tile and cost nothing.  `_merge_block` grows each
-    block; a tile set is an int mask with one bit per distinct tile in
-    `tiles`, decoded into the shared tiles at the end.
+    {1..i} in its base: a tiling of E(w) is one tiling of each block in
+    turn.  Blocks of one value hold no tile and cost nothing.  The blocks'
+    graphs are built last block first, each ending in the next one's root,
+    so one `_walk` lists every tiling as a path of indices into `tiles`.
     """
-    n = w.n
-    fits = [0] * (n + 1)
+    fits = [0] * (w.n + 1)
     for a, b in inversions(w):
         fits[a] |= 1 << b
-    tiles: list[ZonoTile] = []
     blocks = []
     lo = top = 0
     for hi, x in enumerate(w.values, 1):
         top = max(top, x)
         if top == hi:
             if hi - lo > 1:
-                blocks.append(_merge_block(w.values[lo:hi], lo, fits, max_run, tiles))
+                blocks.append((lo, hi))
             lo = hi
-    masks = chain.from_iterable(blocks[0]) if blocks else [0]
-    for block in blocks[1:]:
-        masks = [m | b for m in masks for b in chain.from_iterable(block)]
-    return frozenset(tiling_type(w, frozenset(_decode(m, tiles))) for m in masks)
+    tiles: list[ZonoTile] = []
+    root: list = []
+    for lo, hi in reversed(blocks):
+        root = _block_graph(w.values[lo:hi], lo, fits, max_run, tiles, root)
+    paths = _walk(root)
+    return frozenset(tiling_type(w, frozenset(map(tiles.__getitem__, p))) for p in paths)
 
 
-def _merge_block(
-    target: tuple[int, ...], lo: int, fits: list[int], max_run: int, tiles: list
-) -> list[list[int]]:
-    """The masks of every tiling of one block of w: the values lo+1..hi that
-    w puts at positions lo+1..hi, grown from the identity to `target`, as
-    lists whose concatenation lists each tiling once.
+def _block_graph(target: tuple, lo: int, fits: list, max_run: int, tiles: list, end: list):
+    """The root of the growth graph of one block of w: the values lo+1..hi
+    that w puts at positions lo+1..hi, grown from the identity to `target`.
+    A node is its list of moves (tile index, next node); the node at
+    `target` is `end`, and the paths to it list each tiling once.
 
     At boundary u a tile fits over positions p..q when u increases there
     through values whose every pair is an inversion of w; placing it
@@ -470,10 +470,10 @@ def _merge_block(
     them: inversions of w are transitive, so a < b < c with (a, b) and
     (b, c) inverted has (a, c) inverted too.  It also carries `prefix`,
     where prefix[r] has the bits of the values before position r, the base
-    of a tile starting at r.  A tile is built when it is first placed, as
-    the `ZonoTile` of the segment over {1..lo} and that base, and is
-    appended to `tiles`, whose index is its mask bit; its code, one int with
-    base bits above label bits, finds the bit again.
+    of a tile starting at r.  A tile is built when a move first takes it, as
+    the `ZonoTile` of the segment over {1..lo} and that base, and appended
+    to `tiles`; its code, one int with base bits above label bits, finds
+    its index again.
 
     Each tile set is grown by one placement order only.  Two tiles can be
     placed in either order iff their segments are disjoint (a tile's base is
@@ -489,76 +489,64 @@ def _merge_block(
 
     Which tiles may still be placed, and which of them keep the order
     canonical, depend on the state (u, reach) alone, not on the tiles that
-    reached it.  So equal states merge: each maps to the list of masks that
-    reach it and is expanded once, placing each tile on every mask at once.
-    No mask reaches a state twice, since each tile set has one canonical
-    order, so the lists need no dedup.  A k-label tile adds C(k, 2)
-    inversions, so states are kept in layers by the number of inversions
-    placed and expanded layer by layer, each layer dropped once expanded;
-    the last layer holds the states at `target`.  With nothing to merge this
-    costs about what a depth-first walk over the partial tilings costs: one
-    dict entry per state more, and no scan of the positions where no tile
-    can start.
+    reached it.  So each state is one node, expanded once (see `_expand`).
     """
     size = len(target)
-    shift = lo + size + 1
-    below = frozenset(range(1, lo + 1))
-    length = sum(fits[x].bit_count() for x in target)
-    runs = [range(p + 1, min(p + max_run, size)) for p in range(size - 1)]
     start = tuple(range(lo + 1, lo + size + 1))
     prefix = tuple(accumulate((1 << x for x in start[:-1]), or_, initial=0))
     fitting = sum((fits[x] >> x + 1 & 1) << r for r, x in enumerate(start[:-1]))
-    codes: dict[int, int] = {}
-    layers: list = [{} for _ in range(length + 1)]
-    layers[0][start, (0,) * size] = (prefix, fitting, [0])
-    for level in range(length):
-        layer, layers[level] = layers[level], None
-        for (u, reach), (prefix, fitting, found) in layer.items():
-            starts = fitting
-            while starts:
-                low = starts & -starts
-                starts ^= low
-                p = low.bit_length() - 1
-                labels = 1 << u[p]
-                for q in runs[p]:
-                    if not fitting >> q - 1 & 1:
-                        break
-                    labels |= 1 << u[q]
-                    if reach[p] > q:
-                        continue
-                    code = prefix[p] << shift | labels
-                    bit = codes.get(code)
-                    if bit is None:
-                        bit = codes[code] = 1 << len(tiles)
-                        tiles.append(ZonoTile(u[p : q + 1], below.union(u[:p])))
-                    v = u[:p] + u[p : q + 1][::-1] + u[q + 1 :]
-                    state = v, (p,) * (q + 1) + reach[q + 1 :]
-                    after = layers[level + (q - p + 1) * (q - p) // 2]
-                    if state in after:
-                        after[state][2].extend([bit | m for m in found])
-                        continue
-                    bases = [prefix[p]]
-                    for x in v[p:q]:
-                        bases.append(bases[-1] | 1 << x)
-                    refit = fitting & ~((1 << q) - low)
-                    if p and fits[v[p - 1]] >> v[p] & 1:
-                        refit |= low >> 1
-                    if q + 1 < size and fits[v[q]] >> v[q + 1] & 1:
-                        refit |= 1 << q
-                    after[state] = (
-                        prefix[:p] + tuple(bases) + prefix[q + 1 :],
-                        refit,
-                        [bit | m for m in found],
-                    )
-    return [found for _, _, found in layers[length].values()]
+    runs = [range(p + 1, min(p + max_run, size)) for p in range(size - 1)]
+    below = frozenset(range(1, lo + 1))
+    block = target, end, fits, runs, size, lo + size + 1, below, tiles, {}, {}
+    return _expand(start, (0,) * size, prefix, fitting, block)
 
 
-def _decode(mask: int, tiles: list) -> Iterator[ZonoTile]:
-    """The tiles whose bits are set in `mask`."""
-    while mask:
-        low = mask & -mask
-        yield tiles[low.bit_length() - 1]
-        mask ^= low
+def _expand(u: tuple, reach: tuple, prefix: tuple, fitting: int, block: tuple):
+    """The node of the state (u, reach), depth first: its moves to states
+    with a canonical way on to the target, or None if there are none.  The
+    depth is at most the block's tiles.  `block` holds what one
+    `_block_graph` shares, among it the memo from states to nodes (None
+    too, so a miss is False); a plain function, not a closure over
+    itself, leaves no reference cycle to keep the graph alive."""
+    target, end, fits, runs, size, shift, below, tiles, codes, memo = block
+    if u == target:
+        return end
+    moves = []
+    starts = fitting
+    while starts:
+        low = starts & -starts
+        starts ^= low
+        p = low.bit_length() - 1
+        labels = 1 << u[p]
+        for q in runs[p]:
+            if not fitting >> q - 1 & 1:
+                break
+            labels |= 1 << u[q]
+            if reach[p] > q:
+                continue
+            v = u[:p] + u[p : q + 1][::-1] + u[q + 1 :]
+            state = v, (p,) * (q + 1) + reach[q + 1 :]
+            after = memo.get(state, False)
+            if after is False:
+                bases = [prefix[p]]
+                for x in v[p:q]:
+                    bases.append(bases[-1] | 1 << x)
+                refit = fitting & ~((1 << q) - low)
+                if p and fits[v[p - 1]] >> v[p] & 1:
+                    refit |= low >> 1
+                if q + 1 < size and fits[v[q]] >> v[q + 1] & 1:
+                    refit |= 1 << q
+                bases = prefix[:p] + tuple(bases) + prefix[q + 1 :]
+                after = memo[state] = _expand(*state, bases, refit, block)
+            if after is None:
+                continue
+            code = prefix[p] << shift | labels
+            index = codes.get(code)
+            if index is None:
+                index = codes[code] = len(tiles)
+                tiles.append(ZonoTile(u[p : q + 1], below.union(u[:p])))
+            moves.append((index, after))
+    return moves or None
 
 
 def validation_error(T: ZonoTiling) -> str | None:

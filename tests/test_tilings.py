@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import pickle
 import random
@@ -37,7 +38,7 @@ from elnitsky import (
     vertices_of,
     word_to_tiling,
 )
-from elnitsky.tilings import _merge_block, polygon_vertices, prefix_sets
+from elnitsky.tilings import _block_graph, _walk, polygon_vertices, prefix_sets
 
 from helpers import (
     canonical_json_by_dumps,
@@ -215,17 +216,43 @@ def test_enumerations_match_the_canonical_growth_at_7654312():
 @pytest.mark.parametrize("w", ["654321", "7463512"])
 @pytest.mark.parametrize("zonotopal", [False, True])
 def test_the_merge_grows_each_tiling_once(w, zonotopal):
-    """One block each, whose mask lists hold every tiling exactly once: the
-    canonical-order test lets one placement order of each tile set through,
-    so no list needs dedup."""
+    """One block each, whose graph's paths are distinct tile sets, one per
+    tiling: equal states merge into one node, and the canonical-order test
+    lets one placement order of each tile set through, so no path repeats."""
     w = Permutation.from_string(w)
     fits = [0] * (w.n + 1)
     for a, b in inversions(w):
         fits[a] |= 1 << b
-    found = _merge_block(w.values, 0, fits, w.n if zonotopal else 2, [])
-    masks = [m for masks in found for m in masks]
+    tiles = []
+    root = _block_graph(w.values, 0, fits, w.n if zonotopal else 2, tiles, [])
+    tile_sets = [frozenset(map(tiles.__getitem__, path)) for path in _walk(root)]
     enumerate_tilings = enumerate_zonotopal if zonotopal else enumerate_rhombic
-    assert len(masks) == len(set(masks)) == len(enumerate_tilings(w))
+    assert len(tile_sets) == len(set(tile_sets)) == len(enumerate_tilings(w))
+    assert set(tile_sets) == {T.tiles for T in enumerate_tilings(w)}
+
+
+@pytest.mark.parametrize("enumerate_tilings", [enumerate_rhombic, enumerate_zonotopal])
+def test_enumeration_leaves_no_reference_cycles(enumerate_tilings):
+    """The growth graph is freed by reference counting as soon as the walk
+    ends, not kept alive until the cyclic collector runs."""
+    w = Permutation.from_string("7463512")
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_tilings.__wrapped__(w)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def traced_peak(f, *args):
+    """The peak of memory traced while f(*args) runs, in bytes."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def direct_sum(w, v):
@@ -284,6 +311,20 @@ def test_an_indecomposable_sparse_word_enumerates_within_budget():
         best = min(best, time.perf_counter() - start)
     assert best < 0.5
     assert tilings == {T}
+
+
+def test_an_indecomposable_sparse_word_enumerates_within_memory():
+    """Nothing merges, so the memo keeps all 10,945 states below w: about
+    6 MB traced."""
+    w = word_to_tiling(Word(tuple(range(1, 20, 2)) + tuple(range(2, 19, 2)), 20)).w
+    assert traced_peak(enumerate_rhombic.__wrapped__, w) < 12_000_000
+
+
+@pytest.mark.long
+def test_zonotopal_enumeration_at_the_length_guard_within_memory():
+    """66,191 tilings of 7654312: about 70 MB traced."""
+    w = Permutation.from_string("7654312")
+    assert traced_peak(enumerate_zonotopal.__wrapped__, w) < 76_000_000
 
 
 def test_enumeration_guard():
