@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import check_length_guard
 from .permutations import Permutation, Word, apply_simple, evaluate
@@ -46,19 +45,22 @@ def reduced_words(w: Permutation) -> frozenset[Word]:
     [(1, 2, 1), (2, 1, 2)]
     """
     check_length_guard(w.length(), "reduced word enumeration")
-    return frozenset(Word(letters, w.n) for letters in _reduced_letter_seqs(w.values))
+    return frozenset(Word(x, w.n) for x in _reduced_letter_seqs(w.values, {}))
 
 
-@lru_cache(maxsize=None)
-def _reduced_letter_seqs(values: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    w = Permutation(values)
-    if w.is_identity():
-        return frozenset({()})
-    out = set()
-    for i in w.right_descents():
-        for prefix in _reduced_letter_seqs(apply_simple(w, i).values):
-            out.add(prefix + (i,))
-    return frozenset(out)
+def _reduced_letter_seqs(values: tuple, memo: dict) -> frozenset[tuple[int, ...]]:
+    """The letters of every reduced word of `values`.  `memo` maps each
+    permutation below it already done to its words; it lives for one
+    `reduced_words` call, so nothing stays cached after it."""
+    seqs = memo.get(values)
+    if seqs is None:
+        w = Permutation(values)
+        seqs = {()} if w.is_identity() else set()
+        for i in w.right_descents():
+            for prefix in _reduced_letter_seqs(apply_simple(w, i).values, memo):
+                seqs.add(prefix + (i,))
+        seqs = memo[values] = frozenset(seqs)
+    return seqs
 
 
 def _commutation_neighbors(letters: tuple[int, ...]):

@@ -8,7 +8,7 @@ order to the identity.
 """
 from __future__ import annotations
 
-from bisect import bisect, insort
+from bisect import insort
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -94,24 +94,26 @@ class Permutation:
         return all(v == i for i, v in enumerate(self.values, 1))
 
     def length(self) -> int:
-        """Coxeter length = number of inversions, counted without listing them."""
-        seen: list[int] = []
-        count = 0
+        """Coxeter length = number of inversions, counted without listing
+        them in O(n log n): all C(n, 2) pairs less those in order, which a
+        Fenwick tree over the values counts as the smaller values seen."""
+        n = self.n
+        tree = [0] * (n + 1)
+        count = n * (n - 1) // 2
         for v in self.values:
-            count += len(seen) - bisect(seen, v)
-            insort(seen, v)
+            i = v
+            while i:
+                count -= tree[i]
+                i &= i - 1
+            while v <= n:
+                tree[v] += 1
+                v += v & -v
         return count
 
     def right_descents(self) -> tuple[int, ...]:
         """Positions i with w(i) > w(i+1)."""
         return tuple(
             i for i in range(1, self.n) if self.values[i - 1] > self.values[i]
-        )
-
-    def ascents(self) -> tuple[int, ...]:
-        """Positions i with w(i) < w(i+1)."""
-        return tuple(
-            i for i in range(1, self.n) if self.values[i - 1] < self.values[i]
         )
 
     def __repr__(self) -> str:

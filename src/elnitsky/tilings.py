@@ -50,8 +50,8 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations
-from operator import attrgetter, itemgetter, or_
+from itertools import combinations
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -425,29 +425,26 @@ def enumerate_zonotopal(w: Permutation) -> frozenset[ZonoTiling]:
 def _grow(w: Permutation, max_run: int, tiling_type: type[ZonoTiling]) -> frozenset:
     """All tilings of E(w) by tiles of at most `max_run` labels.
 
-    w is first split at its pinch vertices, the j with w({1..j}) = {1..j},
-    found by one running-max scan.  No inversion of w crosses a pinch
-    vertex, so no tile does, and every tile between pinch vertices i < j has
-    {1..i} in its base: a tiling of E(w) is one tiling of each block in
-    turn.  Blocks of one value hold no tile and cost nothing.  The blocks'
-    graphs are built last block first, each ending in the next one's root,
-    so one `_walk` lists every tiling as a path of indices into `tiles`.
+    w is split at its pinch vertices, the j with min w(j+1..n) = j+1 (so
+    w({1..j}) = {1..j}), found right to left by one running minimum.  No
+    inversion of w crosses a pinch vertex, so no tile does, and every tile
+    between pinch vertices i < j has {1..i} in its base: a tiling of E(w)
+    is one tiling of each block in turn.  Blocks of one value hold no tile.
+    Each block's graph is built as the scan reaches it, ending in the next
+    block's root, so one `_walk` lists every tiling as indices into `tiles`.
     """
     fits = [0] * (w.n + 1)
     for a, b in inversions(w):
         fits[a] |= 1 << b
-    blocks = []
-    lo = top = 0
-    for hi, x in enumerate(w.values, 1):
-        top = max(top, x)
-        if top == hi:
-            if hi - lo > 1:
-                blocks.append((lo, hi))
-            lo = hi
     tiles: list[ZonoTile] = []
     root: list = []
-    for lo, hi in reversed(blocks):
-        root = _block_graph(w.values[lo:hi], lo, fits, max_run, tiles, root)
+    hi = low = w.n
+    for lo in reversed(range(w.n)):
+        low = min(low, w.values[lo])
+        if low == lo + 1:
+            if hi - lo > 1:
+                root = _block_graph(w.values[lo:hi], lo, fits, max_run, tiles, root)
+            hi = lo
     paths = _walk(root)
     return frozenset(tiling_type(w, frozenset(map(tiles.__getitem__, p))) for p in paths)
 
@@ -468,12 +465,9 @@ def _block_graph(target: tuple, lo: int, fits: list, max_run: int, tiles: list, 
     only where one can start.  A placement over p..q clears bits p..q-1,
     where the values now decrease, and may set bits p-1 and q, never clear
     them: inversions of w are transitive, so a < b < c with (a, b) and
-    (b, c) inverted has (a, c) inverted too.  It also carries `prefix`,
-    where prefix[r] has the bits of the values before position r, the base
-    of a tile starting at r.  A tile is built when a move first takes it, as
-    the `ZonoTile` of the segment over {1..lo} and that base, and appended
-    to `tiles`; its code, one int with base bits above label bits, finds
-    its index again.
+    (b, c) inverted has (a, c) inverted too.  A tile's code, the bits of
+    u[:p] (gathered as p grows; their count is how far) over its label
+    bits, finds its index in `tiles`, where its first move appends it.
 
     Each tile set is grown by one placement order only.  Two tiles can be
     placed in either order iff their segments are disjoint (a tile's base is
@@ -493,15 +487,14 @@ def _block_graph(target: tuple, lo: int, fits: list, max_run: int, tiles: list, 
     """
     size = len(target)
     start = tuple(range(lo + 1, lo + size + 1))
-    prefix = tuple(accumulate((1 << x for x in start[:-1]), or_, initial=0))
     fitting = sum((fits[x] >> x + 1 & 1) << r for r, x in enumerate(start[:-1]))
     runs = [range(p + 1, min(p + max_run, size)) for p in range(size - 1)]
     below = frozenset(range(1, lo + 1))
     block = target, end, fits, runs, size, lo + size + 1, below, tiles, {}, {}
-    return _expand(start, (0,) * size, prefix, fitting, block)
+    return _expand(start, (0,) * size, fitting, block)
 
 
-def _expand(u: tuple, reach: tuple, prefix: tuple, fitting: int, block: tuple):
+def _expand(u: tuple, reach: tuple, fitting: int, block: tuple):
     """The node of the state (u, reach), depth first: its moves to states
     with a canonical way on to the target, or None if there are none.  The
     depth is at most the block's tiles.  `block` holds what one
@@ -513,6 +506,7 @@ def _expand(u: tuple, reach: tuple, prefix: tuple, fitting: int, block: tuple):
         return end
     moves = []
     starts = fitting
+    base = 0
     while starts:
         low = starts & -starts
         starts ^= low
@@ -528,19 +522,17 @@ def _expand(u: tuple, reach: tuple, prefix: tuple, fitting: int, block: tuple):
             state = v, (p,) * (q + 1) + reach[q + 1 :]
             after = memo.get(state, False)
             if after is False:
-                bases = [prefix[p]]
-                for x in v[p:q]:
-                    bases.append(bases[-1] | 1 << x)
                 refit = fitting & ~((1 << q) - low)
                 if p and fits[v[p - 1]] >> v[p] & 1:
                     refit |= low >> 1
                 if q + 1 < size and fits[v[q]] >> v[q + 1] & 1:
                     refit |= 1 << q
-                bases = prefix[:p] + tuple(bases) + prefix[q + 1 :]
-                after = memo[state] = _expand(*state, bases, refit, block)
+                after = memo[state] = _expand(*state, refit, block)
             if after is None:
                 continue
-            code = prefix[p] << shift | labels
+            for x in u[base.bit_count() : p]:
+                base |= 1 << x
+            code = base << shift | labels
             index = codes.get(code)
             if index is None:
                 index = codes[code] = len(tiles)

@@ -745,6 +745,12 @@ def test_cli_exit_codes(capsys, tmp_path):
     bad.write_text('{"n": 2, "w": [2, 1], "tiles": []}')
     assert run(capsys, "poincare", str(bad))[0] == 1
 
+    for base in (3, 0):
+        tile = {"pair": [1, 2], "base": [base]}
+        bad.write_text(json.dumps({"n": 2, "w": [2, 1], "tiles": [tile]}))
+        message = f"error: tile base [{base}] outside 1..2\n"
+        assert run(capsys, "poincare", str(bad)) == (1, "", message)
+
 
 # ---------------------------------------------------------------------------
 # start-up: each subcommand is a fresh process that loads only what it runs

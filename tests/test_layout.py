@@ -2,7 +2,8 @@
 itself and the standard library, the brute-force oracle and the test
 helpers stay independent of the code they check, the CLI uses only the
 public names of the modules it calls, the package namespace imports none
-of its modules eagerly, and `ZonoTile` is the package's one tile class."""
+of its modules eagerly, `ZonoTile` is the package's one tile class, and
+every `functools` cache in the package is bounded."""
 import ast
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ PACKAGE = ROOT / "src" / "elnitsky"
 HELPERS = ROOT / "tests" / "helpers.py"
 CLI = PACKAGE / "io_cli.py"
 INIT = PACKAGE / "__init__.py"
+# the one unbounded cache: its key k is at most 6 under the length guard
+UNBOUNDED_CACHES = {("zonotopal.py", "_coatoms")}
 
 
 def imports(path, nodes=ast.walk):
@@ -34,6 +37,41 @@ def module_level(tree):
         yield node
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             todo.extend(ast.iter_child_nodes(node))
+
+
+def caches(path):
+    """(function, maxsize) of every `functools.lru_cache` or `cache` in a
+    file: the name of the function it decorates (None if it decorates
+    none) and the node of the maxsize it is given (None if none)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+    }
+    calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    owners = {
+        id(decorator): node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for decorator in node.decorator_list
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            kind = names.get(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            kind = node.attr if node.value.id == "functools" else None
+        else:
+            continue
+        if kind not in {"lru_cache", "cache"}:
+            continue
+        call = calls.get(id(node))
+        size = None
+        if kind == "lru_cache" and call:
+            given = call.args + [k.value for k in call.keywords if k.arg == "maxsize"]
+            size = given[0] if given else None
+        yield owners.get(id(call or node)), size
 
 
 def package_modules(module, level, names):
@@ -110,3 +148,17 @@ def test_no_package_class_subclasses_the_tile():
         if "ZonoTile" in {getattr(base, "id", None), getattr(base, "attr", None)}
     ]
     assert subclasses == []
+
+
+def test_every_cache_in_the_package_has_an_integer_maxsize():
+    """A cache that lives as long as the process holds what it saw for as
+    long, so each `lru_cache` names an integer bound; `cache`, which has
+    none, is not used.  `UNBOUNDED_CACHES` lists the one exception."""
+    unbounded = [
+        (path.name, function)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, size in caches(path)
+        if not (isinstance(size, ast.Constant) and type(size.value) is int)
+        and (path.name, function) not in UNBOUNDED_CACHES
+    ]
+    assert unbounded == []

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from elnitsky import (
@@ -37,6 +40,25 @@ def test_reduced_words_are_reduced_and_evaluate_back():
 def test_reduced_words_guard():
     with pytest.raises(GuardExceeded):
         reduced_words(Permutation.longest(7))
+
+
+def test_reduced_words_keep_no_memo_after_the_call():
+    """The memo of permutations below w lives for one call: once the words
+    are dropped, under 0.05 MB stays traced (a process-wide cache of the
+    120 permutations of rank 5 kept about 0.5 MB)."""
+    w = Permutation.longest(5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        words = reduced_words(w)
+        assert len(words) == 768
+        del words
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 50_000
 
 
 def test_classes_partition_the_words():
