@@ -27,8 +27,7 @@ from .tilings import (
     RhombicTiling,
     ZonoTile,
     ZonoTiling,
-    enumerate_rhombic,
-    enumerate_zonotopal,
+    canonical_lines,
     peeling_orders,
     polygon_vertices,
     prefix_sets,
@@ -263,15 +262,8 @@ def _cmd_words(args) -> None:
 
 
 def _cmd_enumerate(args) -> None:
-    w = parse_permutation(args.w)
-    if args.zonotopal:
-        tilings = enumerate_zonotopal(w)
-    else:
-        tilings = enumerate_rhombic(w)
-    serialized = sorted(t.to_json() for t in tilings)
-    for line in serialized:
-        print(line)
-    print(len(serialized))
+    lines = canonical_lines(parse_permutation(args.w), args.zonotopal)
+    print(*lines, len(lines), sep="\n")
 
 
 def _cmd_flipgraph(args) -> None:

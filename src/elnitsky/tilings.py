@@ -22,7 +22,7 @@ bijection with commutation classes of reduced words mechanical:
   one node of a graph of placements, expanded once, and the tilings are
   the graph's paths.  w is first split at its pinch vertices, where no
   tile crosses, and each block's graph ends in the next one's root (see
-  `_grow` and `_block_graph`);
+  `_growth_graph` and `_block_graph`);
 * peeling a tiling reads letters back off the boundary u, one per tile
   that sits on it: whose base is the set of values before position
   len(base) and whose labels continue u there in increasing order.
@@ -42,7 +42,11 @@ Tile-set equality is the canonical form of a commutation class: two reduced
 words grow the same tile set iff they differ by commutation moves.  Its
 canonical JSON lists the tiles sorted by their `key`, (labels, sorted base),
 never as tuples; each tile computes that key and its JSON text once, and
-`to_json` joins those texts, byte for byte what `json.dumps` would write.
+one layout (`_json_writer`) joins those texts, byte for byte what
+`json.dumps` would write.  `to_json` sorts one tiling's tiles by key on
+each call; `canonical_lines` ranks the growth graph's one tile table by key
+once and writes every tiling of E(w) straight from its path, so a path's
+ranks, sorted, are its canonical tile order and no tiling is built.
 """
 from __future__ import annotations
 
@@ -75,6 +79,7 @@ __all__ = [
     "peeling_orders",
     "enumerate_rhombic",
     "enumerate_zonotopal",
+    "canonical_lines",
     "validate",
     "validation_error",
     "vertices_of",
@@ -158,12 +163,10 @@ class ZonoTiling:
 
     def to_json(self) -> str:
         """`json.dumps` of {"n", "w", "tiles": [{json_key, "base"}, ...]} with
-        the tiles in canonical order, one join of their cached `json_tail`s."""
-        head = f'{{"{self.json_key}": '
-        tiles = ("}, " + head).join([t.json_tail for t in self.canonical_tiles()])
-        if tiles:
-            tiles = f"{head}{tiles}}}"
-        return f'{{"n": {self.n}, "w": {list(self.w.values)}, "tiles": [{tiles}]}}'
+        the tiles in canonical order: `_json_writer`'s one layout, joining
+        their cached `json_tail`s.  It sorts the tiles on every call."""
+        write = _json_writer(self.w, self.json_key)
+        return write([t.json_tail for t in self.canonical_tiles()])
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(w={self.w.to_string()}, {len(self.tiles)} tiles)"
@@ -173,6 +176,21 @@ class RhombicTiling(ZonoTiling):
     """A tiling by rhombi; its JSON spells each tile's labels as "pair"."""
 
     json_key = "pair"
+
+
+def _json_writer(w: Permutation, json_key: str):
+    """The one canonical JSON layout of a tiling of E(w), `json.dumps` of
+    {"n", "w", "tiles": [{json_key: labels, "base": base}, ...]}: a function
+    of the tiles' `json_tail`s, in canonical order, that joins them once."""
+    prefix = f'{{"n": {w.n}, "w": {list(w.values)}, "tiles": ['
+    head = f'{{"{json_key}": '
+    between = "}, " + head
+
+    def write(tails) -> str:
+        tiles = between.join(tails)
+        return f"{prefix}{head}{tiles}}}]}}" if tiles else prefix + "]}"
+
+    return write
 
 
 def from_rhombic(T: RhombicTiling) -> ZonoTiling:
@@ -340,7 +358,7 @@ def peeling_orders(T: RhombicTiling) -> Iterator[tuple[int, ...]]:
     The later of two tiles of one letter needs the earlier, so the moves
     have distinct letters; taken in increasing order, with every order
     len(T.tiles) letters long, they yield the words in lexicographic order.
-    `_walk`, which also lists the tilings of `_grow`, streams the paths:
+    `_walk`, which also walks the paths of `_growth_graph`, streams them:
     its cost follows its output, and it holds the DAG and one path, no
     boundary of rank n.
     """
@@ -407,23 +425,63 @@ def all_words(T: RhombicTiling) -> frozenset[Word]:
 @lru_cache(maxsize=256)
 def enumerate_rhombic(w: Permutation) -> frozenset[RhombicTiling]:
     """All rhombic tilings of E(w): boundary growth by runs of length 2."""
-    check_length_guard(w.length(), "rhombic tiling enumeration")
-    return _grow(w, 2, RhombicTiling)
+    return _grow(w, *_guard(w, zonotopal=False))
 
 
 @lru_cache(maxsize=256)
 def enumerate_zonotopal(w: Permutation) -> frozenset[ZonoTiling]:
     """All zonotopal tilings of E(w): boundary growth by runs of any length."""
+    return _grow(w, *_guard(w, zonotopal=True))
+
+
+def canonical_lines(w: Permutation, zonotopal: bool = False) -> list[str]:
+    """The canonical JSON of every rhombic (or zonotopal) tiling of E(w),
+    sorted: `sorted(T.to_json() for T in enumerate_rhombic(w))`, written
+    straight from the growth graph's paths without building a tiling.
+
+    Refuses as `enumerate_rhombic` (or `enumerate_zonotopal`) does.  The
+    tile list is ranked once by `key`, so a path's ranks, sorted, are its
+    tiles in canonical order, and each line joins their `json_tail`s.
+    """
+    max_run, tiling_type = _guard(w, zonotopal)
+    tiles, root = _growth_graph(w, max_run)
+    order = sorted(range(len(tiles)), key=lambda i: tiles[i].key)
+    rank = sorted(range(len(tiles)), key=order.__getitem__)
+    tails = [tiles[i].json_tail for i in order]
+    write = _json_writer(w, tiling_type.json_key)
+    return sorted(
+        write(map(tails.__getitem__, sorted(map(rank.__getitem__, p))))
+        for p in _walk(root)
+    )
+
+
+def _guard(w: Permutation, zonotopal: bool) -> tuple[int, type[ZonoTiling]]:
+    """The largest tile and the tiling class of an enumeration of E(w),
+    once its guards pass: for zonotopal tilings the rank, then the length.
+    Raises GuardExceeded naming the guard that refused."""
+    if not zonotopal:
+        check_length_guard(w.length(), "rhombic tiling enumeration")
+        return 2, RhombicTiling
     if w.n > ZONO_RANK_GUARD:
         raise GuardExceeded(
             f"zonotopal enumeration refused: rank {w.n} exceeds the guard {ZONO_RANK_GUARD}"
         )
     check_length_guard(w.length(), "zonotopal tiling enumeration")
-    return _grow(w, w.n, ZonoTiling)
+    return w.n, ZonoTiling
 
 
 def _grow(w: Permutation, max_run: int, tiling_type: type[ZonoTiling]) -> frozenset:
-    """All tilings of E(w) by tiles of at most `max_run` labels.
+    """All tilings of E(w) by tiles of at most `max_run` labels: each path
+    of `_growth_graph`, its tile indices looked up, as one `tiling_type`."""
+    tiles, root = _growth_graph(w, max_run)
+    paths = _walk(root)
+    return frozenset(tiling_type(w, frozenset(map(tiles.__getitem__, p))) for p in paths)
+
+
+def _growth_graph(w: Permutation, max_run: int) -> tuple[list[ZonoTile], list]:
+    """The tiles and the root of the growth graph of E(w) by tiles of at
+    most `max_run` labels: `_walk(root)` lists every tiling once, as
+    indices into the tiles.
 
     w is split at its pinch vertices, the j with min w(j+1..n) = j+1 (so
     w({1..j}) = {1..j}), found right to left by one running minimum.  No
@@ -431,7 +489,7 @@ def _grow(w: Permutation, max_run: int, tiling_type: type[ZonoTiling]) -> frozen
     between pinch vertices i < j has {1..i} in its base: a tiling of E(w)
     is one tiling of each block in turn.  Blocks of one value hold no tile.
     Each block's graph is built as the scan reaches it, ending in the next
-    block's root, so one `_walk` lists every tiling as indices into `tiles`.
+    block's root, so the paths from the root run through every block.
     """
     fits = [0] * (w.n + 1)
     for a, b in inversions(w):
@@ -445,8 +503,7 @@ def _grow(w: Permutation, max_run: int, tiling_type: type[ZonoTiling]) -> frozen
             if hi - lo > 1:
                 root = _block_graph(w.values[lo:hi], lo, fits, max_run, tiles, root)
             hi = lo
-    paths = _walk(root)
-    return frozenset(tiling_type(w, frozenset(map(tiles.__getitem__, p))) for p in paths)
+    return tiles, root
 
 
 def _block_graph(target: tuple, lo: int, fits: list, max_run: int, tiles: list, end: list):

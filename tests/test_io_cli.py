@@ -505,9 +505,19 @@ def test_cli_enumerate(capsys):
 
 
 def test_cli_enumerate_guard(capsys):
-    code, _, err = run(capsys, "enumerate", "7654321")
-    assert code == 2
-    assert "error:" in err
+    refusals = {
+        "7654321": "rhombic tiling enumeration refused: length 21 exceeds the guard 20",
+        "87654321": "rhombic tiling enumeration refused: length 28 exceeds the guard 20",
+        "987654321 --zonotopal": "zonotopal enumeration refused: rank 9 exceeds the guard 8",
+        "87654321 --zonotopal": (
+            "zonotopal tiling enumeration refused: length 28 exceeds the guard 20"
+        ),
+        "3,2,1,4,5,6,7,8,12,11,10,9 --zonotopal": (
+            "zonotopal enumeration refused: rank 12 exceeds the guard 8"
+        ),
+    }
+    for args, message in refusals.items():
+        assert run(capsys, "enumerate", *args.split()) == (2, "", f"error: {message}\n")
 
 
 def test_cli_enumerate_at_large_rank_answers_within_a_second(capsys):
@@ -533,6 +543,12 @@ ENUMERATE_STDOUT_SHA256 = {
     "2143": "327f254f7828d5dda35247e9feda9a5357d38656f495bb734500644c0730bb56",
     "4321 --zonotopal": "98250ad46d7992337e1abcb3e7b988bab65951a48b3536d763951de86e8d2f46",
     "54321 --zonotopal": "5c322a0abf96d5dfb4a3da57b7b7e2cc71ea908da1d9cf8f25f7c8fcb2d8ffad",
+    # the zonotopal workload's command, pinned in bench/expected.json too
+    "654321 --zonotopal": "2ceb47f650afe1fdef62c5e9d3c759096840683c77f05f1db408c2f94e94f86b",
+    # two-digit labels; zonotopal, this rank-12 polygon is refused
+    "3,2,1,4,5,6,7,8,12,11,10,9": (
+        "b04caab12a0f7e40445e90c1ba41f5ecb63f3f4f959c3a4109fd5c6e76eebcf2"
+    ),
 }
 
 
@@ -556,6 +572,27 @@ def test_cli_enumerate_at_the_length_guard_edge(capsys):
         == "f5f717f785ff9c3ddbc1253ea2c933734948c6bcc9a66a97ce057fa989b9e919"
     )
     assert elapsed < 3
+
+
+def test_cli_enumerate_fills_no_enumeration_cache(capsys):
+    """The CLI writes its lines from the growth graph, not from the cached
+    tiling sets."""
+    enumerate_rhombic.cache_clear()
+    enumerate_zonotopal.cache_clear()
+    for extra in ([], ["--zonotopal"]):
+        assert run(capsys, "enumerate", "321", *extra)[0] == 0
+    assert enumerate_rhombic.cache_info().currsize == 0
+    assert enumerate_zonotopal.cache_info().currsize == 0
+
+
+@pytest.mark.long
+def test_cli_zonotopal_enumerate_at_the_length_guard_within_budget(capsys):
+    """66,191 tilings of 7654312 within 1.5 s (about 0.8 s on a 2-CPU host)."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "7654312", "--zonotopal")
+    assert time.perf_counter() - start < 1.5
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "66191"
 
 
 def test_cli_flipgraph(capsys):

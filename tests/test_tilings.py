@@ -1,5 +1,6 @@
 import copy
 import gc
+import hashlib
 import json
 import pickle
 import random
@@ -38,7 +39,13 @@ from elnitsky import (
     vertices_of,
     word_to_tiling,
 )
-from elnitsky.tilings import _block_graph, _walk, polygon_vertices, prefix_sets
+from elnitsky.tilings import (
+    _block_graph,
+    _walk,
+    canonical_lines,
+    polygon_vertices,
+    prefix_sets,
+)
 
 from helpers import (
     canonical_json_by_dumps,
@@ -328,8 +335,20 @@ def test_zonotopal_enumeration_at_the_length_guard_within_memory():
 
 
 def test_enumeration_guard():
-    with pytest.raises(GuardExceeded):
-        enumerate_rhombic(Permutation.longest(7))
+    """`canonical_lines` refuses by the same guard as the enumerations,
+    zonotopal rank before length; the two-digit-label polygon has rank 12."""
+    for w, zonotopal in [
+        ("7654321", False),
+        ("87654321", True),
+        ("987654321", True),
+        ("3,2,1,4,5,6,7,8,12,11,10,9", True),
+    ]:
+        w = Permutation.from_string(w)
+        with pytest.raises(GuardExceeded) as by_tilings:
+            (enumerate_zonotopal if zonotopal else enumerate_rhombic)(w)
+        with pytest.raises(GuardExceeded) as by_lines:
+            canonical_lines(w, zonotopal)
+        assert str(by_lines.value) == str(by_tilings.value)
 
 
 def test_enumeration_guard_refuses_a_long_permutation_at_once():
@@ -621,11 +640,57 @@ def test_json_golden_form():
     assert json.loads(T.to_json())["w"] == [3, 2, 1]
 
 
+def lines_by_dumps(w, zonotopal):
+    """The sorted canonical JSON of E(w)'s tilings by `json.dumps`."""
+    tilings = (enumerate_zonotopal if zonotopal else enumerate_rhombic)(w)
+    return sorted(canonical_json_by_dumps(T) for T in tilings)
+
+
 def test_to_json_matches_json_dumps_on_s1_to_s5():
     for n in range(1, 6):
         for w in symmetric_group(n):
             for T in enumerate_rhombic(w) | enumerate_zonotopal(w):
                 assert T.to_json() == canonical_json_by_dumps(T)
+            for zonotopal in (False, True):
+                assert canonical_lines(w, zonotopal) == lines_by_dumps(w, zonotopal)
+
+
+@pytest.mark.parametrize(
+    "w, zonotopal",
+    [
+        ("3,2,1,4,5,6,7,8,12,11,10,9", False),
+        ("7463512", False),
+        ("7463512", True),
+        ("7456312", False),
+        ("7456312", True),
+        ("7654312", False),
+        pytest.param("7654312", True, marks=pytest.mark.long),
+    ],
+)
+def test_canonical_lines_match_json_dumps(w, zonotopal):
+    """The lines written from the growth graph's paths, against `json.dumps`
+    of every enumerated tiling; compared by SHA-256 over the lines."""
+    w = Permutation.from_string(w)
+
+    def digest(lines):
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+    assert digest(canonical_lines(w, zonotopal)) == digest(lines_by_dumps(w, zonotopal))
+
+
+def test_canonical_lines_at_the_length_guard_within_memory():
+    """6,888 lines of 7654312 and its growth graph: about 7 MB traced,
+    where sorting `to_json` of the enumerated tilings traces about 22 MB."""
+    w = Permutation.from_string("7654312")
+    assert traced_peak(canonical_lines, w) < 12_000_000
+
+
+@pytest.mark.long
+def test_zonotopal_canonical_lines_at_the_length_guard_within_memory():
+    """66,191 lines of 7654312: about 49 MB traced, where sorting `to_json`
+    of the enumerated tilings traces about 111 MB."""
+    w = Permutation.from_string("7654312")
+    assert traced_peak(canonical_lines, w, True) < 70_000_000
 
 
 def test_to_json_matches_json_dumps_with_two_digit_labels():
