@@ -286,10 +286,19 @@ def _cmd_poset(args) -> None:
     w = parse_permutation(args.w)
     p = poset(w)
     d = p.digests
-    for i, j in sorted(p.cover_indices):  # index order is digest order
-        print(f"cover {d[i]} {d[j]}")
-    below_something = {i for i, _ in p.cover_indices}
-    top = [digest for i, digest in enumerate(d) if i not in below_something]
+    # index order is digest order; the covers come by upper index, so each
+    # lower index's uppers are already sorted
+    above = [[] for _ in d]
+    for i, j in p.cover_indices:
+        above[i].append(d[j])
+    sys.stdout.write(
+        "".join(
+            f"cover {lo} " + f"\ncover {lo} ".join(ups) + "\n"
+            for lo, ups in zip(d, above)
+            if ups
+        )
+    )
+    top = [digest for digest, ups in zip(d, above) if not ups]
     for digest in top:
         print(f"maximal {digest}")
     print(f"unique_max {'true' if len(top) == 1 else 'false'}")

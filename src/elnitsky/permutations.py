@@ -95,20 +95,27 @@ class Permutation:
 
     def length(self) -> int:
         """Coxeter length = number of inversions, counted without listing
-        them in O(n log n): all C(n, 2) pairs less those in order, which a
-        Fenwick tree over the values counts as the smaller values seen."""
+        them: the sum of the inversion table."""
+        return sum(self.inversion_table())
+
+    def inversion_table(self) -> list[int]:
+        """Entry v - 1 counts the larger values before v, the inversions
+        (v, b) of w; in O(n log n), as the values seen less the smaller
+        ones, which a Fenwick tree over the values counts."""
         n = self.n
         tree = [0] * (n + 1)
-        count = n * (n - 1) // 2
-        for v in self.values:
-            i = v
-            while i:
-                count -= tree[i]
-                i &= i - 1
+        table = [0] * n
+        for i, v in enumerate(self.values):
+            larger = i
+            x = v
+            while x:
+                larger -= tree[x]
+                x &= x - 1
+            table[v - 1] = larger
             while v <= n:
                 tree[v] += 1
                 v += v & -v
-        return count
+        return table
 
     def right_descents(self) -> tuple[int, ...]:
         """Positions i with w(i) > w(i+1)."""

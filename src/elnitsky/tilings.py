@@ -44,9 +44,11 @@ canonical JSON lists the tiles sorted by their `key`, (labels, sorted base),
 never as tuples; each tile computes that key and its JSON text once, and
 one layout (`_json_writer`) joins those texts, byte for byte what
 `json.dumps` would write.  `to_json` sorts one tiling's tiles by key on
-each call; `canonical_lines` ranks the growth graph's one tile table by key
-once and writes every tiling of E(w) straight from its path, so a path's
-ranks, sorted, are its canonical tile order and no tiling is built.
+each call.  `_canonical_paths` ranks the growth graph's one tile table by
+key once and writes every tiling of E(w) straight from its path, so a
+path's ranks, sorted, are its canonical tile order and no tiling is built.
+That table serves two consumers: `canonical_lines` sorts the lines, and
+`zonotopal.poset` digests them and keeps the ranks as int masks.
 """
 from __future__ import annotations
 
@@ -215,9 +217,14 @@ def _require_rhombi(T: ZonoTiling) -> None:
 
 def tiling_digest(tiling: ZonoTiling) -> str:
     """Short stable digest of the canonical JSON form (rhombic or zonotopal)."""
+    return _line_digest(tiling.to_json())
+
+
+def _line_digest(line: str) -> str:
+    """The digest of one canonical JSON line: its SHA-256, first 12 hex digits."""
     import hashlib  # here, so that processes that take no digest never load it
 
-    return hashlib.sha256(tiling.to_json().encode()).hexdigest()[:12]
+    return hashlib.sha256(line.encode()).hexdigest()[:12]
 
 
 def sort_by_digest(tilings) -> tuple[tuple[str, ...], tuple]:
@@ -439,20 +446,35 @@ def canonical_lines(w: Permutation, zonotopal: bool = False) -> list[str]:
     sorted: `sorted(T.to_json() for T in enumerate_rhombic(w))`, written
     straight from the growth graph's paths without building a tiling.
 
-    Refuses as `enumerate_rhombic` (or `enumerate_zonotopal`) does.  The
-    tile list is ranked once by `key`, so a path's ranks, sorted, are its
-    tiles in canonical order, and each line joins their `json_tail`s.
+    Refuses as `enumerate_rhombic` (or `enumerate_zonotopal`) does.
+    """
+    return sorted(line for _, line in _canonical_paths(w, zonotopal)[1])
+
+
+def _canonical_paths(w: Permutation, zonotopal: bool) -> tuple[list[ZonoTile], Iterator]:
+    """The tile table of E(w)'s growth graph, sorted by `key`, and for each
+    tiling, one per path, its tiles' ranks in that table, sorted, with its
+    canonical JSON line.
+
+    Refuses as `enumerate_rhombic` (or `enumerate_zonotopal`) does, before
+    it returns.  The tile list is ranked once by `key`, so a path's ranks,
+    sorted, are its tiles in canonical order, and each line joins their
+    `json_tail`s; the ranks are ints, ready to be a mask over the table.
     """
     max_run, tiling_type = _guard(w, zonotopal)
     tiles, root = _growth_graph(w, max_run)
     order = sorted(range(len(tiles)), key=lambda i: tiles[i].key)
     rank = sorted(range(len(tiles)), key=order.__getitem__)
-    tails = [tiles[i].json_tail for i in order]
+    tiles = [tiles[i] for i in order]
+    tails = [t.json_tail for t in tiles]
     write = _json_writer(w, tiling_type.json_key)
-    return sorted(
-        write(map(tails.__getitem__, sorted(map(rank.__getitem__, p))))
-        for p in _walk(root)
-    )
+
+    def rows():
+        for p in _walk(root):
+            ranks = sorted(map(rank.__getitem__, p))
+            yield ranks, write(map(tails.__getitem__, ranks))
+
+    return tiles, rows()
 
 
 def _guard(w: Permutation, zonotopal: bool) -> tuple[int, type[ZonoTiling]]:
@@ -611,19 +633,33 @@ def validation_error(T: ZonoTiling) -> str | None:
                 f"tile base {sorted(tile.base)} not disjoint from labels"
                 f" {list(tile.labels)}"
             )
-    inv_w = inversions(T.w)
+    position = [0] * (n + 1)
+    for i, v in enumerate(T.w.values):
+        position[v] = i
     covered = Counter(pair for t in T.tiles for pair in combinations(t.labels, 2))
     for pair, count in sorted(covered.items()):
-        if pair not in inv_w:
+        if position[pair[0]] < position[pair[1]]:
             return f"pair {pair} is not an inversion of {T.w.to_string()}"
         if count > 1:
             return f"pair {pair} covered by more than one tile"
-    missing = inv_w - covered.keys()
-    if missing:
-        return f"inversion {min(missing)} not covered by any tile"
+    # each covered pair is now an inversion, covered once
+    if len(covered) < T.w.length():
+        return f"inversion {_least_uncovered(T.w, covered)} not covered by any tile"
     if len(_greedy_peel(T)[0]) < len(T.tiles):
         return "tiles do not admit any peeling order from the base boundary"
     return None
+
+
+def _least_uncovered(w: Permutation, covered) -> tuple[int, int]:
+    """The least inversion (a, b) of w not in `covered`, a set of w's
+    inversions that lacks one, found without listing them: a is the least
+    value with more inversions (a, b), by w's inversion table, than
+    `covered` holds, and b the least larger value before a not paired."""
+    held = Counter(a for a, _ in covered)
+    table = w.inversion_table()
+    a = next(v for v, count in enumerate(table, 1) if count > held[v])
+    before = w.values[: w.values.index(a)]
+    return a, min(b for b in before if b > a and (a, b) not in covered)
 
 
 def validate(T: ZonoTiling) -> bool:

@@ -12,6 +12,10 @@ bases and tops only: Z <= Y iff every tile of Y is filled by the tiles of Z
 inside it, which is reverse edge inclusion by the argument in `ZonoPoset`.
 Below Y each tile is refined on its own, by a tiling of E(w0(k)) carried
 in by `_relabel`: rhombic ones give `refinements`, coatoms give the covers.
+`poset` reads E(w)'s tilings off the growth graph's key-ranked tile table
+(`tilings._canonical_paths`): each is digested from its canonical JSON
+line and kept as an int mask over the table, and its covers are found on
+those masks, with no tiling built until `elements` is read.
 """
 from __future__ import annotations
 
@@ -19,15 +23,17 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from math import comb
+from operator import itemgetter
 
 from .permutations import Permutation
 from .tilings import (
     RhombicTiling,
     ZonoTile,
     ZonoTiling,
+    _canonical_paths,
+    _line_digest,
     enumerate_rhombic,
     enumerate_zonotopal,
-    sort_by_digest,
 )
 
 __all__ = [
@@ -75,8 +81,9 @@ class ZonoPoset:
     """All zonotopal tilings of one E(w) under reverse edge inclusion.
 
     Elements are digest-sorted for reproducible output, and `digests` holds
-    their digests in the same order; cover relations are computed on first
-    use, one tiling at a time.
+    their digests in the same order.  Each element is kept as an int mask
+    over `tiles`, the growth graph's tile table in `key` order; `elements`
+    builds the tilings, and `cover_indices` the covers, on first use.
 
     Why relabelled coatoms give exactly the covers.  Reverse edge inclusion
     is tile-wise refinement: Z <= Y iff every tile of Y is a union of tiles
@@ -90,23 +97,26 @@ class ZonoPoset:
     adds t's base, an order isomorphism from the tilings of E(w0(k)) onto
     those of t.  So the lower covers of Y replace one tile t of k >= 3
     labels by `_relabel(C, t)`, for each coatom C of E(w0(k)): a tiling
-    that the single 2k-gon covers.
+    that the single 2k-gon covers.  On masks, the lower covers of m at the
+    bit b of such a tile are `m ^ b | c`, one for each relabelled coatom's
+    mask c (see `_cover_pairs`).
     """
 
     w: Permutation
-    elements: tuple[ZonoTiling, ...]
     digests: tuple[str, ...]
+    masks: tuple[int, ...]
+    tiles: tuple[ZonoTile, ...]
+
+    @cached_property
+    def elements(self) -> tuple[ZonoTiling, ...]:
+        """The tilings, in digest order."""
+        return tuple(ZonoTiling(self.w, _tiles_of(m, self.tiles)) for m in self.masks)
 
     @cached_property
     def cover_indices(self) -> tuple[tuple[int, int], ...]:
-        """(lower, upper) index pairs into `elements`, one per cover."""
-        index = {z.tiles: i for i, z in enumerate(self.elements)}
-        relabelled: dict = {}
-        return tuple(
-            (index[lower], j)
-            for j, z in enumerate(self.elements)
-            for lower in _lower_covers(z.tiles, relabelled)
-        )
+        """(lower, upper) index pairs into `elements`, one per cover, by
+        upper index, then the replaced tile's `key`, then coatom."""
+        return tuple(_cover_pairs(self.masks, self.tiles))
 
     @cached_property
     def covers(self) -> frozenset[tuple[ZonoTiling, ZonoTiling]]:
@@ -115,25 +125,49 @@ class ZonoPoset:
         return frozenset((e[i], e[j]) for i, j in self.cover_indices)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.masks)
 
     def __repr__(self) -> str:
-        return f"ZonoPoset(w={self.w.to_string()}, {len(self.elements)} tilings)"
+        return f"ZonoPoset(w={self.w.to_string()}, {len(self.masks)} tilings)"
 
 
-def _lower_covers(tiles: frozenset[ZonoTile], relabelled: dict):
-    """Tile sets one cover below `tiles` (see `ZonoPoset`); `relabelled`
-    keeps each tile's relabelled coatoms for the next call."""
-    for t in tiles:
-        if t.size >= 3:
-            if t not in relabelled:
-                relabelled[t] = [_relabel(C, t) for C in _coatoms(t.size)]
-            rest = tiles - {t}
-            for C in relabelled[t]:
-                yield rest | C
+def _tiles_of(mask: int, tiles) -> frozenset[ZonoTile]:
+    """The tiles whose bits `mask` sets."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(tiles[low.bit_length() - 1])
+    return frozenset(out)
 
 
-@lru_cache(maxsize=None)
+def _cover_pairs(masks, tiles):
+    """(lower, upper) index pairs into `masks`, tilings as masks over the
+    tile table `tiles`, one per cover (see `ZonoPoset`); every lower cover
+    of a mask must be among them.  A tile's relabelled coatom masks are
+    built when its bit is first met, so `_coatoms(k)` is asked only for the
+    sizes k that occur."""
+    index = {m: i for i, m in enumerate(masks)}
+    rank = {t: r for r, t in enumerate(tiles)}
+    big = sum(1 << r for r, t in enumerate(tiles) if t.size >= 3)
+    relabelled = [None] * len(tiles)
+    for j, m in enumerate(masks):
+        rest = m & big
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            r = b.bit_length() - 1
+            coatoms = relabelled[r]
+            if coatoms is None:
+                t = tiles[r]
+                coatoms = relabelled[r] = [
+                    sum(1 << rank[x] for x in _relabel(C, t)) for C in _coatoms(t.size)
+                ]
+            for c in coatoms:
+                yield index[m ^ b | c], j
+
+
+@lru_cache(maxsize=8)
 def _coatoms(k: int) -> tuple[frozenset[ZonoTile], ...]:
     """The tilings of E(w0(k)) that the single 2k-gon covers, as tile sets:
     those of two or more tiles that no other such tiling covers, since a
@@ -142,17 +176,24 @@ def _coatoms(k: int) -> tuple[frozenset[ZonoTile], ...]:
     covers need only smaller tables, down to k = 2, where the one tiling is
     a rhombus and the table is empty.  The length guard keeps C(k, 2) <= 20,
     so k <= 6 and the cache holds at most five tables."""
-    tilings = enumerate_zonotopal(Permutation.longest(k))
-    multi = [z.tiles for z in tilings if len(z.tiles) >= 2]
-    index = {C: i for i, C in enumerate(multi)}
-    relabelled: dict = {}
-    below = {index[lower] for D in multi for lower in _lower_covers(D, relabelled)}
-    return tuple(C for i, C in enumerate(multi) if i not in below)
+    p = poset(Permutation.longest(k))
+    multi = [m for m in p.masks if m & m - 1]
+    below = {i for i, _ in _cover_pairs(multi, p.tiles)}
+    return tuple(_tiles_of(m, p.tiles) for i, m in enumerate(multi) if i not in below)
 
 
 def poset(w: Permutation) -> ZonoPoset:
-    digests, elements = sort_by_digest(enumerate_zonotopal(w))
-    return ZonoPoset(w, elements, digests)
+    """The zonotopal tilings of E(w), each digested from the canonical JSON
+    line its growth path writes, with no tiling built."""
+    tiles, rows = _canonical_paths(w, zonotopal=True)
+    bits = [1 << r for r in range(len(tiles))]
+    ranked = sorted(
+        ((_line_digest(line), sum(map(bits.__getitem__, ranks))) for ranks, line in rows),
+        key=itemgetter(0),
+    )
+    digests = tuple(d for d, _ in ranked)
+    masks = tuple(m for _, m in ranked)
+    return ZonoPoset(w, digests, masks, tuple(tiles))
 
 
 def maximal_elements(p: ZonoPoset) -> frozenset[ZonoTiling]:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -476,6 +477,26 @@ def test_cli_refuses_an_unpeelable_tiling_at_once(tmp_path, capsys):
             )
 
 
+def test_cli_refuses_an_uncovered_rank_2000_polygon_at_once(tmp_path, capsys):
+    """An 11 KB input, w0(2000) with no tiles, is refused without listing
+    its 1,999,000 inversions: the least missing one is sought only once the
+    tiles' pairs fall short of l(w)."""
+    path = tmp_path / "w2000.json"
+    n = 2000
+    path.write_text(json.dumps({"n": n, "w": list(range(n, 0, -1)), "tiles": []}))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "poincare", str(path))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (1, "", "error: inversion (1, 2) not covered by any tile\n")
+    assert elapsed < 0.3
+    assert peak < 10 * 2**20
+
+
 def test_cli_words_all_at_rank_100000_answers_within_budget(tmp_path, capsys):
     """Two commuting tiles at rank 100,000: the peeling scan looks at the
     tiles, not at every position of every boundary."""
@@ -661,16 +682,33 @@ def test_cli_flipgraph_digests_each_tiling_once(capsys, monkeypatch, extra):
 
 
 def test_cli_poset_digests_each_tiling_once(capsys, monkeypatch):
-    calls = []
+    """Every digest hashes one canonical line through `_line_digest`, which
+    `tiling_digest` calls too; the 203 tilings of E(54321) are hashed once
+    each, whichever module hashes them."""
+    digest_line = elnitsky.tilings._line_digest
+    lines = []
 
-    def counted(tiling):
-        calls.append(tiling)
-        return tiling_digest(tiling)
+    def counted(line):
+        lines.append(line)
+        return digest_line(line)
 
-    patch_every_digest(monkeypatch, counted)
+    for module in (elnitsky.tilings, elnitsky.flips, elnitsky.zonotopal, elnitsky.io_cli):
+        monkeypatch.setattr(module, "_line_digest", counted, raising=False)
     code, _, _ = run(capsys, "poset", "54321")
     assert code == 0
-    assert len(calls) == 203
+    assert len(lines) == len(set(lines)) == 203
+
+
+def test_cli_poset_fills_no_enumeration_cache(capsys):
+    """The poset is digested from the growth graph's lines, coatom tables
+    included, not from the cached tiling sets."""
+    enumerate_rhombic.cache_clear()
+    enumerate_zonotopal.cache_clear()
+    elnitsky.zonotopal._coatoms.cache_clear()
+    assert run(capsys, "poset", "54321")[0] == 0
+    assert elnitsky.zonotopal._coatoms.cache_info().currsize == 3
+    assert enumerate_rhombic.cache_info().currsize == 0
+    assert enumerate_zonotopal.cache_info().currsize == 0
 
 
 def test_cli_flipgraph_at_the_length_guard_edge(capsys):
@@ -721,6 +759,19 @@ def test_cli_poset_output_is_pinned(capsys, w):
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == POSET_STDOUT_SHA256[w]
     assert elapsed < 10
+
+
+@pytest.mark.long
+def test_cli_poset_at_the_length_guard_within_budget(capsys):
+    """252,448 covers of 7654312's 66,191 tilings within 3 s (about 1.3-1.8 s
+    on a 2-CPU host), as one call from cold caches."""
+    enumerate_zonotopal.cache_clear()
+    elnitsky.zonotopal._coatoms.cache_clear()
+    start = time.perf_counter()
+    code, out, err = run(capsys, "poset", "7654312")
+    assert time.perf_counter() - start < 3
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == POSET_STDOUT_SHA256["7654312"]
 
 
 def test_cli_poincare(tmp_path, capsys):

@@ -13,8 +13,6 @@ PACKAGE = ROOT / "src" / "elnitsky"
 HELPERS = ROOT / "tests" / "helpers.py"
 CLI = PACKAGE / "io_cli.py"
 INIT = PACKAGE / "__init__.py"
-# the one unbounded cache: its key k is at most 6 under the length guard
-UNBOUNDED_CACHES = {("zonotopal.py", "_coatoms")}
 
 
 def imports(path, nodes=ast.walk):
@@ -153,12 +151,11 @@ def test_no_package_class_subclasses_the_tile():
 def test_every_cache_in_the_package_has_an_integer_maxsize():
     """A cache that lives as long as the process holds what it saw for as
     long, so each `lru_cache` names an integer bound; `cache`, which has
-    none, is not used.  `UNBOUNDED_CACHES` lists the one exception."""
+    none, is not used."""
     unbounded = [
         (path.name, function)
         for path in sorted(PACKAGE.glob("*.py"))
         for function, size in caches(path)
         if not (isinstance(size, ast.Constant) and type(size.value) is int)
-        and (path.name, function) not in UNBOUNDED_CACHES
     ]
     assert unbounded == []

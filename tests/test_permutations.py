@@ -81,6 +81,9 @@ def test_inversions_and_length_match_every_pair_tested_on_s1_to_s6():
             expected = inversions_by_pairs(w)
             assert inversions(w) == expected
             assert w.length() == len(expected)
+            assert w.inversion_table() == [
+                sum(1 for a, _ in expected if a == v) for v in range(1, n + 1)
+            ]
 
 
 @given(perms)

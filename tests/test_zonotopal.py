@@ -205,6 +205,17 @@ def test_local_covers_match_the_pairwise_order_on_s1_to_s5():
             assert local_order(p) == coarsening_order_by_pairs(p)
 
 
+def test_poset_digests_are_its_elements_digests_on_s1_to_s5():
+    """The digests hashed from the growth graph's lines are those of the
+    tilings the masks give, sorted, and those tilings are E(w)'s."""
+    for n in range(1, 6):
+        for w in symmetric_group(n):
+            p = poset(w)
+            digests = tuple(tiling_digest(z) for z in p.elements)
+            assert p.digests == digests == tuple(sorted(digests))
+            assert frozenset(p.elements) == enumerate_zonotopal(w)
+
+
 def test_coatom_tables():
     assert [len(_coatoms(k)) for k in range(2, 7)] == [0, 2, 8, 40, 324]
     for k in range(3, 6):
