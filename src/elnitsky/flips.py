@@ -5,7 +5,8 @@ with label triple a < b < c, found from its {a, c} rhombus, the long
 diagonal.  The hexagon has exactly two rhombic tilings, with interior vertex
 base plus {b} or base plus {a, c}, and a flip exchanges them.  Coarsening
 instead replaces the three rhombi by the hexagon, a zonotopal tiling that
-both flip partners refine.
+both flip partners refine.  `flip_graph` flips hexagons on int masks over
+the digest-sorted tile table it shares with `zonotopal.poset`.
 """
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ from .tilings import (
     RhombicTiling,
     ZonoTile,
     ZonoTiling,
-    enumerate_rhombic,
-    sort_by_digest,
+    _digest_table,
+    _tiles_of,
 )
 
 __all__ = [
@@ -149,13 +150,19 @@ def coarsen_flip(T: RhombicTiling, f: FlipSite) -> ZonoTiling:
 class FlipGraph:
     """All rhombic tilings of one E(w), joined when one flip apart.
 
-    Nodes are digest-sorted, and `digests` holds their digests in the same
-    order; arcs are digest pairs (low, high), each stored once."""
+    Tilings are int masks over `tiles`, the tile table in `key` order, sorted
+    by digest as `digests` is; `nodes` builds them when read.  Arcs are
+    digest pairs (low, high), each stored once."""
 
     w: Permutation
-    nodes: tuple[RhombicTiling, ...]
     digests: tuple[str, ...]
+    masks: tuple[int, ...]
+    tiles: tuple[ZonoTile, ...]
     arcs: frozenset[tuple[str, str]]
+
+    @cached_property
+    def nodes(self) -> tuple[RhombicTiling, ...]:
+        return tuple(RhombicTiling(self.w, _tiles_of(m, self.tiles)) for m in self.masks)
 
     @cached_property
     def by_digest(self) -> dict[str, RhombicTiling]:
@@ -171,17 +178,17 @@ class FlipGraph:
 
     def __repr__(self) -> str:
         return (
-            f"FlipGraph(w={self.w.to_string()}, {len(self.nodes)} nodes,"
+            f"FlipGraph(w={self.w.to_string()}, {len(self.masks)} nodes,"
             f" {len(self.arcs)} arcs)"
         )
 
 
 def flip_graph(w: Permutation) -> FlipGraph:
-    """The flip graph of E(w), digesting each tiling exactly once.
+    """The flip graph of E(w), on the masks of its digest-sorted tile table.
 
-    Each tiling's digest is computed once, by `sort_by_digest`, and the
-    flipped tile set of every hexagon is looked up among the tilings' tile
-    sets; the plain pairs of `_triple` equal the rhombi they replace.
+    `_hexagons` runs once, on the table: each interior-b hexagon whose
+    interior-ac rhombi are there too gives masks b and ac of its two rhombus
+    triples, and a tiling m holding b flips to m ^ b | ac.
 
     Every arc is found once.  Two tilings one flip apart differ exactly over
     one hexagon, which one of them fills in the interior-b orientation and
@@ -189,21 +196,25 @@ def flip_graph(w: Permutation) -> FlipGraph:
     first tiling when only interior-b hexagons are flipped, and from no other
     tiling or hexagon.
     """
-    digests, nodes = sort_by_digest(enumerate_rhombic(w))
-    digest_of = {T.tiles: d for d, T in zip(digests, nodes)}
+    digests, masks, tiles = _digest_table(w, zonotopal=False)
+    bit = {t: 1 << r for r, t in enumerate(tiles)}
+    hexagons = []
+    for labels, base in _hexagons(bit, INTERIOR_B):
+        b, ac = (_triple(labels, base, o) for o in (INTERIOR_B, INTERIOR_AC))
+        if ac <= bit.keys():
+            hexagons.append((sum(map(bit.get, b)), sum(map(bit.get, ac))))
+    digest_of = dict(zip(masks, digests))
     arcs = []
-    for d, T in zip(digests, nodes):
-        for labels, base in _hexagons(T.tiles, INTERIOR_B):
-            flipped = (T.tiles - _triple(labels, base, INTERIOR_B)) | _triple(
-                labels, base, INTERIOR_AC
-            )
-            d2 = digest_of[flipped]
-            arcs.append((d, d2) if d < d2 else (d2, d))
-    return FlipGraph(w, nodes, digests, frozenset(arcs))
+    for m, d in zip(masks, digests):
+        for b, ac in hexagons:
+            if m & b == b:
+                d2 = digest_of[m ^ b | ac]
+                arcs.append((d, d2) if d < d2 else (d2, d))
+    return FlipGraph(w, digests, masks, tiles, frozenset(arcs))
 
 
 def is_connected(g: FlipGraph) -> bool:
-    if not g.nodes:
+    if not g.digests:
         return True
     adjacency = g.adjacency
     start = next(iter(adjacency))
@@ -214,7 +225,7 @@ def is_connected(g: FlipGraph) -> bool:
             if nbr not in seen:
                 seen.add(nbr)
                 stack.append(nbr)
-    return len(seen) == len(g.nodes)
+    return len(seen) == len(g.digests)
 
 
 def to_dot(g: FlipGraph) -> str:

@@ -47,8 +47,8 @@ one layout (`_json_writer`) joins those texts, byte for byte what
 each call.  `_canonical_paths` ranks the growth graph's one tile table by
 key once and writes every tiling of E(w) straight from its path, so a
 path's ranks, sorted, are its canonical tile order and no tiling is built.
-That table serves two consumers: `canonical_lines` sorts the lines, and
-`zonotopal.poset` digests them and keeps the ranks as int masks.
+`canonical_lines` sorts the lines, and `_digest_table` digests them, the
+one digest-sorted E(w) that `zonotopal.poset` and `flips.flip_graph` share.
 """
 from __future__ import annotations
 
@@ -86,7 +86,6 @@ __all__ = [
     "validation_error",
     "vertices_of",
     "tiling_digest",
-    "sort_by_digest",
 ]
 
 LabelSet = frozenset[int]
@@ -225,13 +224,6 @@ def _line_digest(line: str) -> str:
     import hashlib  # here, so that processes that take no digest never load it
 
     return hashlib.sha256(line.encode()).hexdigest()[:12]
-
-
-def sort_by_digest(tilings) -> tuple[tuple[str, ...], tuple]:
-    """The digests of `tilings` in sorted order and the tilings in the same
-    order, each digest computed once."""
-    rows = sorted(((tiling_digest(T), T) for T in tilings), key=itemgetter(0))
-    return tuple(d for d, _ in rows), tuple(T for _, T in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +467,27 @@ def _canonical_paths(w: Permutation, zonotopal: bool) -> tuple[list[ZonoTile], I
             yield ranks, write(map(tails.__getitem__, ranks))
 
     return tiles, rows()
+
+
+def _digest_table(w: Permutation, zonotopal: bool) -> tuple[tuple, tuple, tuple]:
+    """The rhombic (or zonotopal) tilings of E(w), each line of
+    `_canonical_paths` hashed once and no tiling built: their digests,
+    sorted, their masks over the tile table in that order, and the table."""
+    tiles, rows = _canonical_paths(w, zonotopal)
+    bits = [1 << r for r in range(len(tiles))]
+    rows = ((_line_digest(line), sum(map(bits.__getitem__, ranks))) for ranks, line in rows)
+    digests, masks = zip(*sorted(rows, key=itemgetter(0)))
+    return digests, masks, tuple(tiles)
+
+
+def _tiles_of(mask: int, tiles) -> frozenset[ZonoTile]:
+    """The tiles whose bits `mask` sets."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(tiles[low.bit_length() - 1])
+    return frozenset(out)
 
 
 def _guard(w: Permutation, zonotopal: bool) -> tuple[int, type[ZonoTiling]]:

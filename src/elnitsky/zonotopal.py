@@ -12,10 +12,10 @@ bases and tops only: Z <= Y iff every tile of Y is filled by the tiles of Z
 inside it, which is reverse edge inclusion by the argument in `ZonoPoset`.
 Below Y each tile is refined on its own, by a tiling of E(w0(k)) carried
 in by `_relabel`: rhombic ones give `refinements`, coatoms give the covers.
-`poset` reads E(w)'s tilings off the growth graph's key-ranked tile table
-(`tilings._canonical_paths`): each is digested from its canonical JSON
-line and kept as an int mask over the table, and its covers are found on
-those masks, with no tiling built until `elements` is read.
+`poset` reads E(w)'s tilings off the digest-sorted tile table that
+`flips.flip_graph` shares (`tilings._digest_table`): each is an int mask
+over the table, and its covers are found on those masks, with no tiling
+built until `elements` is read; `_coatoms` reads its masks undigested.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from math import comb
-from operator import itemgetter
 
 from .permutations import Permutation
 from .tilings import (
@@ -31,7 +30,8 @@ from .tilings import (
     ZonoTile,
     ZonoTiling,
     _canonical_paths,
-    _line_digest,
+    _digest_table,
+    _tiles_of,
     enumerate_rhombic,
     enumerate_zonotopal,
 )
@@ -131,16 +131,6 @@ class ZonoPoset:
         return f"ZonoPoset(w={self.w.to_string()}, {len(self.masks)} tilings)"
 
 
-def _tiles_of(mask: int, tiles) -> frozenset[ZonoTile]:
-    """The tiles whose bits `mask` sets."""
-    out = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out.append(tiles[low.bit_length() - 1])
-    return frozenset(out)
-
-
 def _cover_pairs(masks, tiles):
     """(lower, upper) index pairs into `masks`, tilings as masks over the
     tile table `tiles`, one per cover (see `ZonoPoset`); every lower cover
@@ -176,24 +166,16 @@ def _coatoms(k: int) -> tuple[frozenset[ZonoTile], ...]:
     covers need only smaller tables, down to k = 2, where the one tiling is
     a rhombus and the table is empty.  The length guard keeps C(k, 2) <= 20,
     so k <= 6 and the cache holds at most five tables."""
-    p = poset(Permutation.longest(k))
-    multi = [m for m in p.masks if m & m - 1]
-    below = {i for i, _ in _cover_pairs(multi, p.tiles)}
-    return tuple(_tiles_of(m, p.tiles) for i, m in enumerate(multi) if i not in below)
+    tiles, rows = _canonical_paths(Permutation.longest(k), zonotopal=True)
+    multi = [sum(1 << r for r in ranks) for ranks, _ in rows if len(ranks) > 1]
+    below = {i for i, _ in _cover_pairs(multi, tiles)}
+    return tuple(_tiles_of(m, tiles) for i, m in enumerate(multi) if i not in below)
 
 
 def poset(w: Permutation) -> ZonoPoset:
     """The zonotopal tilings of E(w), each digested from the canonical JSON
     line its growth path writes, with no tiling built."""
-    tiles, rows = _canonical_paths(w, zonotopal=True)
-    bits = [1 << r for r in range(len(tiles))]
-    ranked = sorted(
-        ((_line_digest(line), sum(map(bits.__getitem__, ranks))) for ranks, line in rows),
-        key=itemgetter(0),
-    )
-    digests = tuple(d for d, _ in ranked)
-    masks = tuple(m for _, m in ranked)
-    return ZonoPoset(w, digests, masks, tuple(tiles))
+    return ZonoPoset(w, *_digest_table(w, zonotopal=True))
 
 
 def maximal_elements(p: ZonoPoset) -> frozenset[ZonoTiling]:

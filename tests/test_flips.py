@@ -246,9 +246,14 @@ def test_every_producer_builds_shared_plain_tiles_on_s1_to_s5():
 
 
 def test_flip_graph_matches_the_pairwise_arcs_on_s1_to_s5():
+    """Nodes, digests and arcs against the enumeration and the pairwise
+    definition of a flip."""
     for n in range(1, 6):
         for w in symmetric_group(n):
             g = flip_graph(w)
+            tilings = enumerate_rhombic(w)
+            assert frozenset(g.nodes) == tilings
+            assert g.digests == tuple(sorted(tiling_digest(T) for T in tilings))
             assert g.arcs == flip_arcs_by_pairs(g.nodes)
 
 

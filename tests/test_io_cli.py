@@ -33,7 +33,6 @@ from elnitsky import (
     parse_tiling,
     parse_word,
     render_svg,
-    tiling_digest,
     vertex_position,
     word_to_tiling,
 )
@@ -596,12 +595,12 @@ def test_cli_enumerate_at_the_length_guard_edge(capsys):
 
 
 def test_cli_enumerate_fills_no_enumeration_cache(capsys):
-    """The CLI writes its lines from the growth graph, not from the cached
-    tiling sets."""
+    """The CLI writes its lines, and the flip graph, from the growth graph,
+    not from the cached tiling sets."""
     enumerate_rhombic.cache_clear()
     enumerate_zonotopal.cache_clear()
-    for extra in ([], ["--zonotopal"]):
-        assert run(capsys, "enumerate", "321", *extra)[0] == 0
+    for args in (["enumerate", "321"], ["enumerate", "321", "--zonotopal"], ["flipgraph", "4321"]):
+        assert run(capsys, *args)[0] == 0
     assert enumerate_rhombic.cache_info().currsize == 0
     assert enumerate_zonotopal.cache_info().currsize == 0
 
@@ -659,32 +658,9 @@ def test_cli_flipgraph_output_is_pinned(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == FLIPGRAPH_STDOUT_SHA256[args]
 
 
-def patch_every_digest(monkeypatch, counted):
-    """Count `tiling_digest` in every module that can call it; only `tilings`
-    must import it, the others are counted too if they do."""
-    monkeypatch.setattr(elnitsky.tilings, "tiling_digest", counted)
-    for module in (elnitsky.flips, elnitsky.zonotopal, elnitsky.io_cli):
-        monkeypatch.setattr(module, "tiling_digest", counted, raising=False)
-
-
-@pytest.mark.parametrize("extra", [(), ("--dot",)])
-def test_cli_flipgraph_digests_each_tiling_once(capsys, monkeypatch, extra):
-    calls = []
-
-    def counted(tiling):
-        calls.append(tiling)
-        return tiling_digest(tiling)
-
-    patch_every_digest(monkeypatch, counted)
-    code, _, _ = run(capsys, "flipgraph", "54321", *extra)
-    assert code == 0
-    assert len(calls) == 62
-
-
-def test_cli_poset_digests_each_tiling_once(capsys, monkeypatch):
-    """Every digest hashes one canonical line through `_line_digest`, which
-    `tiling_digest` calls too; the 203 tilings of E(54321) are hashed once
-    each, whichever module hashes them."""
+def count_line_digests(monkeypatch):
+    """The canonical lines hashed through `_line_digest`, which `tiling_digest`
+    calls too, counted in every module that can call it."""
     digest_line = elnitsky.tilings._line_digest
     lines = []
 
@@ -694,6 +670,23 @@ def test_cli_poset_digests_each_tiling_once(capsys, monkeypatch):
 
     for module in (elnitsky.tilings, elnitsky.flips, elnitsky.zonotopal, elnitsky.io_cli):
         monkeypatch.setattr(module, "_line_digest", counted, raising=False)
+    return lines
+
+
+@pytest.mark.parametrize("extra", [(), ("--dot",)])
+def test_cli_flipgraph_digests_each_tiling_once(capsys, monkeypatch, extra):
+    """The 62 tilings of E(54321) are hashed once each."""
+    lines = count_line_digests(monkeypatch)
+    code, _, _ = run(capsys, "flipgraph", "54321", *extra)
+    assert code == 0
+    assert len(lines) == len(set(lines)) == 62
+
+
+def test_cli_poset_digests_each_tiling_once(capsys, monkeypatch):
+    """The 203 tilings of E(54321) are hashed once each, from cold caches:
+    the coatom tables are built from masks, with no digest."""
+    elnitsky.zonotopal._coatoms.cache_clear()
+    lines = count_line_digests(monkeypatch)
     code, _, _ = run(capsys, "poset", "54321")
     assert code == 0
     assert len(lines) == len(set(lines)) == 203
