@@ -6,7 +6,7 @@ diagonal.  The hexagon has exactly two rhombic tilings, with interior vertex
 base plus {b} or base plus {a, c}, and a flip exchanges them.  Coarsening
 instead replaces the three rhombi by the hexagon, a zonotopal tiling that
 both flip partners refine.  `flip_graph` flips hexagons on int masks over
-the digest-sorted tile table it shares with `zonotopal.poset`.
+the digest-sorted tile table, in the scan that finds the poset's covers.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from .tilings import (
     ZonoTile,
     ZonoTiling,
     _digest_table,
+    _replaced,
     _tiles_of,
 )
 
@@ -186,9 +187,9 @@ class FlipGraph:
 def flip_graph(w: Permutation) -> FlipGraph:
     """The flip graph of E(w), on the masks of its digest-sorted tile table.
 
-    `_hexagons` runs once, on the table: each interior-b hexagon whose
-    interior-ac rhombi are there too gives masks b and ac of its two rhombus
-    triples, and a tiling m holding b flips to m ^ b | ac.
+    `_hexagons` runs once, on the table.  Each interior-b hexagon whose
+    interior-ac rhombi are there too is a rule of `tilings._replaced` on its
+    {a, c} diagonal: a tiling m holding its rhombi b flips to m ^ b | ac.
 
     Every arc is found once.  Two tilings one flip apart differ exactly over
     one hexagon, which one of them fills in the interior-b orientation and
@@ -198,18 +199,13 @@ def flip_graph(w: Permutation) -> FlipGraph:
     """
     digests, masks, tiles = _digest_table(w, zonotopal=False)
     bit = {t: 1 << r for r, t in enumerate(tiles)}
-    hexagons = []
-    for labels, base in _hexagons(bit, INTERIOR_B):
-        b, ac = (_triple(labels, base, o) for o in (INTERIOR_B, INTERIOR_AC))
-        if ac <= bit.keys():
-            hexagons.append((sum(map(bit.get, b)), sum(map(bit.get, ac))))
-    digest_of = dict(zip(masks, digests))
-    arcs = []
-    for m, d in zip(masks, digests):
-        for b, ac in hexagons:
-            if m & b == b:
-                d2 = digest_of[m ^ b | ac]
-                arcs.append((d, d2) if d < d2 else (d2, d))
+    rules = {}
+    for (a, b, c), base in _hexagons(bit, INTERIOR_B):
+        old, new = (_triple((a, b, c), base, o) for o in (INTERIOR_B, INTERIOR_AC))
+        if new <= bit.keys():
+            rule = sum(map(bit.get, old)), [sum(map(bit.get, new))]
+            rules.setdefault(bit[(a, c), base | {b}], []).append(rule)
+    arcs = (tuple(sorted((digests[i], digests[j]))) for i, j in _replaced(masks, rules))
     return FlipGraph(w, digests, masks, tiles, frozenset(arcs))
 
 

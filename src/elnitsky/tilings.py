@@ -48,7 +48,7 @@ each call.  `_canonical_paths` ranks the growth graph's one tile table by
 key once and writes every tiling of E(w) straight from its path, so a
 path's ranks, sorted, are its canonical tile order and no tiling is built.
 `canonical_lines` sorts the lines, and `_digest_table` digests them, the
-one digest-sorted E(w) that `zonotopal.poset` and `flips.flip_graph` share.
+one digest-sorted E(w) whose flips and covers `_replaced` finds in one scan.
 """
 from __future__ import annotations
 
@@ -478,6 +478,23 @@ def _digest_table(w: Permutation, zonotopal: bool) -> tuple[tuple, tuple, tuple]
     rows = ((_line_digest(line), sum(map(bits.__getitem__, ranks))) for ranks, line in rows)
     digests, masks = zip(*sorted(rows, key=itemgetter(0)))
     return digests, masks, tuple(tiles)
+
+
+def _replaced(masks, rules) -> Iterator[tuple[int, int]]:
+    """(i, j), by j, for each rule that fires in `masks[j]` = m, visiting
+    only m's trigger bits: `rules` maps a trigger tile's bit to (patch, news)
+    mask pairs, and m holding the patch too has `masks[i]` = m ^ patch | c."""
+    index = {m: i for i, m in enumerate(masks)}
+    triggers = sum(rules)
+    for j, m in enumerate(masks):
+        rest = m & triggers
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for patch, news in rules[low]:
+                if m & patch == patch:
+                    for c in news:
+                        yield index[m ^ patch | c], j
 
 
 def _tiles_of(mask: int, tiles) -> frozenset[ZonoTile]:

@@ -14,13 +14,13 @@ Below Y each tile is refined on its own, by a tiling of E(w0(k)) carried
 in by `_relabel`: rhombic ones give `refinements`, coatoms give the covers.
 `poset` reads E(w)'s tilings off the digest-sorted tile table that
 `flips.flip_graph` shares (`tilings._digest_table`): each is an int mask
-over the table, and its covers are found on those masks, with no tiling
-built until `elements` is read; `_coatoms` reads its masks undigested.
+over the table, its covers are found on those masks by the flips' scan
+(`tilings._replaced`), and no tiling is built until `elements` is read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 from math import comb
 
@@ -31,6 +31,7 @@ from .tilings import (
     ZonoTiling,
     _canonical_paths,
     _digest_table,
+    _replaced,
     _tiles_of,
     enumerate_rhombic,
     enumerate_zonotopal,
@@ -99,7 +100,7 @@ class ZonoPoset:
     labels by `_relabel(C, t)`, for each coatom C of E(w0(k)): a tiling
     that the single 2k-gon covers.  On masks, the lower covers of m at the
     bit b of such a tile are `m ^ b | c`, one for each relabelled coatom's
-    mask c (see `_cover_pairs`).
+    mask c: one rule of `tilings._replaced` per tile (see `_cover_pairs`).
     """
 
     w: Permutation
@@ -134,27 +135,17 @@ class ZonoPoset:
 def _cover_pairs(masks, tiles):
     """(lower, upper) index pairs into `masks`, tilings as masks over the
     tile table `tiles`, one per cover (see `ZonoPoset`); every lower cover
-    of a mask must be among them.  A tile's relabelled coatom masks are
-    built when its bit is first met, so `_coatoms(k)` is asked only for the
-    sizes k that occur."""
-    index = {m: i for i, m in enumerate(masks)}
+    of a mask must be among them.  Each held tile of k >= 3 labels is a
+    rule of `_replaced`, its bit swapped for each relabelled coatom mask;
+    no mask of `_coatoms(k)` holds the 2k-gon, so it never asks for itself."""
+    held = reduce(int.__or__, masks, 0)
     rank = {t: r for r, t in enumerate(tiles)}
-    big = sum(1 << r for r, t in enumerate(tiles) if t.size >= 3)
-    relabelled = [None] * len(tiles)
-    for j, m in enumerate(masks):
-        rest = m & big
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            r = b.bit_length() - 1
-            coatoms = relabelled[r]
-            if coatoms is None:
-                t = tiles[r]
-                coatoms = relabelled[r] = [
-                    sum(1 << rank[x] for x in _relabel(C, t)) for C in _coatoms(t.size)
-                ]
-            for c in coatoms:
-                yield index[m ^ b | c], j
+    rules = {}
+    for r, t in enumerate(tiles):
+        if t.size >= 3 and held >> r & 1:
+            news = [sum(1 << rank[x] for x in _relabel(C, t)) for C in _coatoms(t.size)]
+            rules[1 << r] = [(1 << r, news)]
+    return _replaced(masks, rules)
 
 
 @lru_cache(maxsize=8)
@@ -162,10 +153,10 @@ def _coatoms(k: int) -> tuple[frozenset[ZonoTile], ...]:
     """The tilings of E(w0(k)) that the single 2k-gon covers, as tile sets:
     those of two or more tiles that no other such tiling covers, since a
     chain up to one starts with a cover.  Their tiles have fewer than k
-    labels, a k-label tile covering all C(k, 2) inversions, so their lower
-    covers need only smaller tables, down to k = 2, where the one tiling is
-    a rhombus and the table is empty.  The length guard keeps C(k, 2) <= 20,
-    so k <= 6 and the cache holds at most five tables."""
+    labels, a k-label tile covering all C(k, 2) inversions, so the rules of
+    their lower covers need only smaller tables, down to k = 2, where the
+    one tiling is a rhombus and the table is empty.  The length guard keeps
+    C(k, 2) <= 20, so k <= 6 and the cache holds at most five tables."""
     tiles, rows = _canonical_paths(Permutation.longest(k), zonotopal=True)
     multi = [sum(1 << r for r in ranks) for ranks, _ in rows if len(ranks) > 1]
     below = {i for i, _ in _cover_pairs(multi, tiles)}
@@ -179,23 +170,23 @@ def poset(w: Permutation) -> ZonoPoset:
 
 
 def maximal_elements(p: ZonoPoset) -> frozenset[ZonoTiling]:
-    """Tilings with no upper cover."""
-    below_something = {i for i, _ in p.cover_indices}
-    return frozenset(
-        z for i, z in enumerate(p.elements) if i not in below_something
-    )
+    """Tilings with no upper cover, built without the other elements."""
+    return _all_but(p, {i for i, _ in p.cover_indices})
 
 
 def minimal_elements(p: ZonoPoset) -> frozenset[ZonoTiling]:
-    """Tilings with no lower cover."""
-    above_something = {j for _, j in p.cover_indices}
-    return frozenset(
-        z for i, z in enumerate(p.elements) if i not in above_something
-    )
+    """Tilings with no lower cover, built without the other elements."""
+    return _all_but(p, {j for _, j in p.cover_indices})
+
+
+def _all_but(p: ZonoPoset, indices: set[int]) -> frozenset[ZonoTiling]:
+    masks = (m for i, m in enumerate(p.masks) if i not in indices)
+    return frozenset(ZonoTiling(p.w, _tiles_of(m, p.tiles)) for m in masks)
 
 
 def has_unique_max(w: Permutation) -> bool:
-    return len(maximal_elements(poset(w))) == 1
+    p = poset(w)
+    return len(p) - len({i for i, _ in p.cover_indices}) == 1
 
 
 def minimal_upper_bounds(Z1: ZonoTiling, Z2: ZonoTiling) -> frozenset[ZonoTiling]:

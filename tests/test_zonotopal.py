@@ -26,6 +26,7 @@ from elnitsky import (
     word_to_tiling,
     zono_leq,
 )
+from elnitsky import zonotopal
 from elnitsky.flips import apply_flip, coarsen_flip, flip_sites
 from elnitsky.tilings import validation_error
 from elnitsky.zonotopal import _coatoms, _relabel
@@ -203,6 +204,9 @@ def test_local_covers_match_the_pairwise_order_on_s1_to_s5():
         for w in symmetric_group(n):
             p = poset(w)
             assert local_order(p) == coarsening_order_by_pairs(p)
+            uppers = [j for _, j in p.cover_indices]
+            assert uppers == sorted(uppers)
+            assert len(set(p.cover_indices)) == len(p.cover_indices)
 
 
 def test_poset_digests_are_its_elements_digests_on_s1_to_s5():
@@ -253,6 +257,20 @@ def test_unique_max_examples():
     assert not has_unique_max(Permutation((4, 2, 3, 1)))
     assert not has_unique_max(Permutation((4, 3, 1, 2)))
     assert not has_unique_max(Permutation((3, 4, 2, 1)))
+
+
+def test_extremal_elements_build_no_other_tiling(monkeypatch):
+    """The extremal elements are built from their masks alone, and
+    `has_unique_max` counts indices: neither fills a poset's `elements`."""
+    w = Permutation.longest(5)
+    p = poset(w)
+    assert (len(maximal_elements(p)), len(minimal_elements(p))) == (1, 62)
+    assert "elements" not in vars(p)
+    made = []
+    monkeypatch.setattr(zonotopal, "poset", lambda w: made.append(poset(w)) or made[-1])
+    assert has_unique_max(w)
+    (fresh,) = made
+    assert "elements" not in vars(fresh)
 
 
 def test_unique_max_iff_pattern_avoidance_s4():
