@@ -45,15 +45,16 @@ never as tuples; each tile computes that key and its JSON text once, and
 one layout (`_json_writer`) joins those texts, byte for byte what
 `json.dumps` would write.  `to_json` sorts one tiling's tiles by key on
 each call.  `_canonical_paths` ranks the growth graph's one tile table by
-key once and writes every tiling of E(w) straight from its path, so a
-path's ranks, sorted, are its canonical tile order and no tiling is built.
-`canonical_lines` sorts the lines, and `_digest_table` digests them, the
-one digest-sorted E(w) whose flips and covers `_replaced` finds in one scan.
+key once, so a path's ranks, sorted, are its canonical tile order, and it
+writes a path's line only for `canonical_lines`, which sorts the lines, and
+`_digest_table`, which digests them into the one digest-sorted E(w) whose
+flips and covers `_replaced` finds in one scan.  `zonotopal` reads ranks
+alone; no package code calls the cached `enumerate_*`, which build tilings.
 """
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -440,18 +441,19 @@ def canonical_lines(w: Permutation, zonotopal: bool = False) -> list[str]:
 
     Refuses as `enumerate_rhombic` (or `enumerate_zonotopal`) does.
     """
-    return sorted(line for _, line in _canonical_paths(w, zonotopal)[1])
+    _, write, paths = _canonical_paths(w, zonotopal)
+    return sorted(map(write, paths))
 
 
-def _canonical_paths(w: Permutation, zonotopal: bool) -> tuple[list[ZonoTile], Iterator]:
-    """The tile table of E(w)'s growth graph, sorted by `key`, and for each
-    tiling, one per path, its tiles' ranks in that table, sorted, with its
-    canonical JSON line.
+def _canonical_paths(w: Permutation, zonotopal: bool) -> tuple[list, Callable, Iterator]:
+    """The tile table of E(w)'s growth graph, sorted by `key`; `write`, which
+    gives the canonical JSON line of a tiling's sorted ranks; and for each
+    tiling, one per path, its tiles' ranks in the table, sorted.
 
     Refuses as `enumerate_rhombic` (or `enumerate_zonotopal`) does, before
-    it returns.  The tile list is ranked once by `key`, so a path's ranks,
-    sorted, are its tiles in canonical order, and each line joins their
-    `json_tail`s; the ranks are ints, ready to be a mask over the table.
+    it returns.  The table is ranked once by `key`, so a path's sorted ranks
+    are its tiles in canonical order, ready to be a mask over the table;
+    only callers that print or digest a line call `write`.
     """
     max_run, tiling_type = _guard(w, zonotopal)
     tiles, root = _growth_graph(w, max_run)
@@ -459,23 +461,21 @@ def _canonical_paths(w: Permutation, zonotopal: bool) -> tuple[list[ZonoTile], I
     rank = sorted(range(len(tiles)), key=order.__getitem__)
     tiles = [tiles[i] for i in order]
     tails = [t.json_tail for t in tiles]
-    write = _json_writer(w, tiling_type.json_key)
+    line = _json_writer(w, tiling_type.json_key)
 
-    def rows():
-        for p in _walk(root):
-            ranks = sorted(map(rank.__getitem__, p))
-            yield ranks, write(map(tails.__getitem__, ranks))
+    def write(ranks) -> str:
+        return line(map(tails.__getitem__, ranks))
 
-    return tiles, rows()
+    return tiles, write, (sorted(map(rank.__getitem__, p)) for p in _walk(root))
 
 
 def _digest_table(w: Permutation, zonotopal: bool) -> tuple[tuple, tuple, tuple]:
     """The rhombic (or zonotopal) tilings of E(w), each line of
     `_canonical_paths` hashed once and no tiling built: their digests,
     sorted, their masks over the tile table in that order, and the table."""
-    tiles, rows = _canonical_paths(w, zonotopal)
+    tiles, write, paths = _canonical_paths(w, zonotopal)
     bits = [1 << r for r in range(len(tiles))]
-    rows = ((_line_digest(line), sum(map(bits.__getitem__, ranks))) for ranks, line in rows)
+    rows = ((_line_digest(write(p)), sum(map(bits.__getitem__, p))) for p in paths)
     digests, masks = zip(*sorted(rows, key=itemgetter(0)))
     return digests, masks, tuple(tiles)
 

@@ -2,20 +2,22 @@
 
 A tile carries k >= 2 labels; its shape is the centrally symmetric 2k-gon
 swept by those k edge directions, and a rhombus is the k = 2 case.  The
-tile model, the growth engine behind `enumerate_zonotopal`, the validator
-and the conversions to and from rhombic tilings live in `tilings`, shared
-with rhombic tilings; this module adds the coarsening order and
-refinement.  The tilings of E(w) by such tiles form a poset under reverse
-edge inclusion (more edges = finer = smaller), whose minimal elements are
-exactly the rhombic tilings.  The order is computed tile-wise, from tile
-bases and tops only: Z <= Y iff every tile of Y is filled by the tiles of Z
-inside it, which is reverse edge inclusion by the argument in `ZonoPoset`.
-Below Y each tile is refined on its own, by a tiling of E(w0(k)) carried
-in by `_relabel`: rhombic ones give `refinements`, coatoms give the covers.
-`poset` reads E(w)'s tilings off the digest-sorted tile table that
-`flips.flip_graph` shares (`tilings._digest_table`): each is an int mask
-over the table, its covers are found on those masks by the flips' scan
-(`tilings._replaced`), and no tiling is built until `elements` is read.
+tile model, the growth engine, the validator and the conversions to and
+from rhombic tilings live in `tilings`, shared with rhombic tilings; this
+module adds the coarsening order and refinement.  The tilings of E(w) by
+such tiles form a poset under reverse edge inclusion (more edges = finer =
+smaller), whose minimal elements are exactly the rhombic tilings.  The
+order is computed tile-wise, from tile bases and tops only: Z <= Y iff Z
+`_fills` every tile of Y, which is reverse edge inclusion by the argument
+in `ZonoPoset`.  Below Y each tile is refined on its own, by a tiling of
+E(w0(k)) carried in by `_relabel`: the rhombic ones give `refinements` and
+the coatoms the covers, both from one cached entry per k (`_coatoms`).
+Everything here reads E(w) off the key-ranked tile table of
+`tilings._canonical_paths`, as ranks or int masks, never through the cached
+enumerations: `poset` off its digest-sorted form, which `flips.flip_graph`
+shares (covers are found on the masks by the flips' scan,
+`tilings._replaced`, and no tiling is built until `elements` is read), and
+`minimal_upper_bounds` building only the common coarsenings.
 """
 from __future__ import annotations
 
@@ -33,8 +35,6 @@ from .tilings import (
     _digest_table,
     _replaced,
     _tiles_of,
-    enumerate_rhombic,
-    enumerate_zonotopal,
 )
 
 __all__ = [
@@ -50,24 +50,21 @@ __all__ = [
 
 
 def zono_leq(Z1: ZonoTiling, Z2: ZonoTiling) -> bool:
-    """Z1 <= Z2 iff Z1 refines Z2, computed tile-wise: every tile of Z2 is
-    filled by the tiles of Z1 inside it.
-
-    A tile of Z1 lies inside the tile with base S and top T when S is within
-    its base and its top within T, and those tiles fill it when their areas
-    C(k, 2) sum to C(|T - S|, 2).  This is reverse edge inclusion, Z1 having
-    every unit edge of Z2, by the argument in `ZonoPoset`.
-    """
+    """Z1 <= Z2 iff Z1 refines Z2, computed tile-wise: Z1 `_fills` every
+    tile of Z2.  This is reverse edge inclusion, Z1 having every unit edge
+    of Z2, by the argument in `ZonoPoset`."""
     _same_polygon(Z1, Z2)
-    parts = [
-        (base, base.union(labels), comb(len(labels), 2)) for labels, base in Z1.tiles
-    ]
-    for labels, S in Z2.tiles:
-        T = S.union(labels)
-        area = sum(a for base, top, a in parts if S <= base and top <= T)
-        if area != comb(len(labels), 2):
-            return False
-    return True
+    return all(_fills(Z1, t) for t in Z2.tiles)
+
+
+def _fills(Z: ZonoTiling, tile: ZonoTile) -> bool:
+    """Do the tiles of Z inside `tile` fill it?  A tile lies inside the one
+    with base S and top T when S is within its base and its top within T,
+    and those tiles fill it when their areas C(k, 2) sum to `tile`'s."""
+    labels, S = tile
+    T = S.union(labels)
+    area = sum(comb(len(x), 2) for x, base in Z.tiles if S <= base <= T and T.issuperset(x))
+    return area == comb(len(labels), 2)
 
 
 def _same_polygon(Z1: ZonoTiling, Z2: ZonoTiling) -> None:
@@ -143,24 +140,25 @@ def _cover_pairs(masks, tiles):
     rules = {}
     for r, t in enumerate(tiles):
         if t.size >= 3 and held >> r & 1:
-            news = [sum(1 << rank[x] for x in _relabel(C, t)) for C in _coatoms(t.size)]
+            news = [sum(1 << rank[x] for x in _relabel(C, t)) for C in _coatoms(t.size)[0]]
             rules[1 << r] = [(1 << r, news)]
     return _replaced(masks, rules)
 
 
 @lru_cache(maxsize=8)
-def _coatoms(k: int) -> tuple[frozenset[ZonoTile], ...]:
-    """The tilings of E(w0(k)) that the single 2k-gon covers, as tile sets:
-    those of two or more tiles that no other such tiling covers, since a
-    chain up to one starts with a cover.  Their tiles have fewer than k
-    labels, a k-label tile covering all C(k, 2) inversions, so the rules of
-    their lower covers need only smaller tables, down to k = 2, where the
-    one tiling is a rhombus and the table is empty.  The length guard keeps
-    C(k, 2) <= 20, so k <= 6 and the cache holds at most five tables."""
-    tiles, rows = _canonical_paths(Permutation.longest(k), zonotopal=True)
-    multi = [sum(1 << r for r in ranks) for ranks, _ in rows if len(ranks) > 1]
+def _coatoms(k: int) -> tuple[tuple, tuple]:
+    """The tilings of E(w0(k)) that the single 2k-gon covers, and its rhombic
+    tilings (of C(k, 2) tiles), as tile sets off one key-ranked tile table.
+    The coatoms are the masks of two or more tiles that no other such mask
+    covers, since a chain up to one starts with a cover.  Their tiles have
+    fewer than k labels, so their rules need only smaller tables, down to
+    k = 2, one rhombus with no coatom.  The length guard keeps k <= 6."""
+    tiles, _, paths = _canonical_paths(Permutation.longest(k), zonotopal=True)
+    masks = [sum(1 << r for r in ranks) for ranks in paths]
+    multi = [m for m in masks if m & m - 1]
     below = {i for i, _ in _cover_pairs(multi, tiles)}
-    return tuple(_tiles_of(m, tiles) for i, m in enumerate(multi) if i not in below)
+    coatoms = tuple(_tiles_of(m, tiles) for i, m in enumerate(multi) if i not in below)
+    return coatoms, tuple(_tiles_of(m, tiles) for m in masks if m.bit_count() == comb(k, 2))
 
 
 def poset(w: Permutation) -> ZonoPoset:
@@ -193,10 +191,13 @@ def minimal_upper_bounds(Z1: ZonoTiling, Z2: ZonoTiling) -> frozenset[ZonoTiling
     """Minimal elements of the set of common coarsenings of Z1 and Z2.
 
     May be empty or contain several tilings; a singleton is a least upper
-    bound."""
+    bound.  Z >= Z1 iff Z1 fills every tile of Z, so only the paths of
+    `_canonical_paths` whose tiles Z1 and Z2 both fill are built, and compared."""
     _same_polygon(Z1, Z2)
+    tiles, _, paths = _canonical_paths(Z1.w, zonotopal=True)
+    filled = {r for r, t in enumerate(tiles) if _fills(Z1, t) and _fills(Z2, t)}
     bounds = [
-        Z for Z in enumerate_zonotopal(Z1.w) if zono_leq(Z1, Z) and zono_leq(Z2, Z)
+        ZonoTiling(Z1.w, map(tiles.__getitem__, p)) for p in paths if filled.issuperset(p)
     ]
     return frozenset(
         Z for Z in bounds if not any(o != Z and zono_leq(o, Z) for o in bounds)
@@ -208,12 +209,10 @@ def refinements(Z: ZonoTiling) -> frozenset[RhombicTiling]:
 
     Each tile's interior is a copy of E of the k-element reversal, with
     letters renamed to the tile's labels and bases shifted by the tile's
-    base; refinements are products of independent per-tile choices.
+    base; its rhombic tilings come from the `_coatoms(k)` entry, and
+    refinements are products of independent per-tile choices.
     """
-    per_tile = []
-    for tile in Z.canonical_tiles():
-        sub = enumerate_rhombic(Permutation.longest(tile.size))
-        per_tile.append([_relabel(T.tiles, tile) for T in sub])
+    per_tile = [[_relabel(T, t) for T in _coatoms(t.size)[1]] for t in Z.tiles]
     return frozenset(
         RhombicTiling(Z.w, frozenset().union(*combo)) for combo in product(*per_tile)
     )

@@ -9,8 +9,8 @@ canonical placement order, census-constrained tilings by a fresh bounded
 search, peelability by a backtracking search over peeling orders, every
 peeling order by a search that branches on each remaining tile, and the
 coarsening poset, its minimal upper bounds and the flip graph by comparing
-every pair of tilings, and canonical JSON by `json.dumps` of the tiles
-sorted from scratch.
+every pair of tilings, canonical JSON by `json.dumps` of the tiles sorted
+from scratch, and the Moebius function of a poset from its covers alone.
 """
 import json
 from itertools import combinations, permutations as value_tuples
@@ -323,6 +323,37 @@ def minimal_upper_bounds_by_edges(z1, z2, tilings):
     return frozenset(
         z for z, e in bounds.items() if not any(o > e for o in bounds.values())
     )
+
+
+def mobius_from_added_bottom(size, covers):
+    """mu(0, y) for each element y of a finite poset on range(size), given by
+    its (lower, upper) cover pairs, with a bottom 0 added below them all:
+    mu(0, 0) = 1 and mu(0, y) = -(1 + the sum of mu(0, z) over z < y).
+    Each strict down-set is an int bitset, built in a topological order of
+    the covers; the sum is taken one value of mu at a time, as the popcount
+    of the down-set against the bitset of elements with that value."""
+    lowers = [[] for _ in range(size)]
+    uppers = [[] for _ in range(size)]
+    for i, j in covers:
+        lowers[j].append(i)
+        uppers[i].append(j)
+    waiting = [len(x) for x in lowers]
+    ready = [y for y in range(size) if not waiting[y]]
+    below = [0] * size
+    mu = [None] * size
+    with_value = {}
+    while ready:
+        y = ready.pop()
+        for x in lowers[y]:
+            below[y] |= below[x] | 1 << x
+        mu[y] = -1 - sum(v * (below[y] & m).bit_count() for v, m in with_value.items())
+        with_value[mu[y]] = with_value.get(mu[y], 0) | 1 << y
+        for z in uppers[y]:
+            waiting[z] -= 1
+            if not waiting[z]:
+                ready.append(z)
+    assert None not in mu, "the cover pairs have a cycle"
+    return mu
 
 
 def flip_arcs_by_pairs(tilings):

@@ -21,6 +21,7 @@ from elnitsky import (
     from_rhombic,
     is_connected,
     parse_tiling,
+    poset,
     refinements,
     tiling_digest,
     tiling_to_word,
@@ -300,3 +301,33 @@ def test_coarsened_flip_sites_refine_to_both_partners_property(word):
     assert refinements(from_rhombic(T)) == {T}
     for f in flip_sites(T):
         assert refinements(coarsen_flip(T, f)) == {T, apply_flip(T, f)}
+
+
+@pytest.mark.parametrize(
+    "w, arcs",
+    [
+        ("4321", 8),
+        ("54321", 100),
+        ("7463512", 800),
+        ("654321", 2144),
+        pytest.param("7654312", 20990, marks=pytest.mark.long),
+    ],
+)
+def test_flip_arcs_are_the_lower_covers_of_one_hexagon_tilings(w, arcs):
+    """A flip arc is exactly one zonotopal tiling with one hexagon and all
+    other tiles rhombi, the tilings of l(w) - 2 tiles, and that tiling's two
+    lower covers are the arc's two rhombic tilings.  Compared as pairs of
+    tile sets: rhombic and zonotopal JSON spell the labels key differently,
+    so their digests differ.  654321 takes about 0.3 s."""
+    w = Permutation.from_string(w)
+    g = flip_graph(w)
+    flips = {frozenset(g.by_digest[d].tiles for d in arc) for arc in g.arcs}
+    p = poset(w)
+    lowers = {}
+    for i, j in p.cover_indices:
+        lowers.setdefault(j, []).append(p.elements[i].tiles)
+    hexagons = [j for j, Z in enumerate(p.elements) if len(Z.tiles) == w.length() - 2]
+    assert all(len(lowers[j]) == 2 for j in hexagons)
+    covered = {frozenset(lowers[j]) for j in hexagons}
+    assert len(g.arcs) == len(flips) == len(hexagons) == len(covered) == arcs
+    assert covered == flips

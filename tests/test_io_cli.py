@@ -683,13 +683,22 @@ def test_cli_flipgraph_digests_each_tiling_once(capsys, monkeypatch, extra):
 
 
 def test_cli_poset_digests_each_tiling_once(capsys, monkeypatch):
-    """The 203 tilings of E(54321) are hashed once each, from cold caches:
-    the coatom tables are built from masks, with no digest."""
+    """The 203 tilings of E(54321) are written and hashed once each, from
+    cold caches: the coatom tables are built from masks, with no line."""
     elnitsky.zonotopal._coatoms.cache_clear()
     lines = count_line_digests(monkeypatch)
+    json_writer = elnitsky.tilings._json_writer
+    written = []
+
+    def counted_writer(*args):
+        write = json_writer(*args)
+        return lambda tails: written.append(1) or write(tails)
+
+    monkeypatch.setattr(elnitsky.tilings, "_json_writer", counted_writer)
     code, _, _ = run(capsys, "poset", "54321")
     assert code == 0
     assert len(lines) == len(set(lines)) == 203
+    assert len(written) == 203
 
 
 def test_cli_poset_fills_no_enumeration_cache(capsys):
