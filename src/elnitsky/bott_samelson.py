@@ -10,13 +10,12 @@ four vertices are read off its `corners()`, the one tile geometry.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, product
 from operator import sub
 
 from .errors import check_length_guard
-from .permutations import Permutation, Word
+from .permutations import Permutation, Record, Word
 from .tilings import (
     LabelSet,
     RhombicTiling,
@@ -42,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QPolynomial:
+class QPolynomial(Record):
     """Polynomial in q with integer coefficients, ascending by degree."""
 
     coeffs: tuple[int, ...]
@@ -122,8 +120,7 @@ LIGHT = "light"
 DARK = "dark"
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(Record):
     """A light/dark shade for every rhombus of one tiling.
 
     Dark tiles are the ones whose two same-dimension subspaces differ (the
@@ -185,16 +182,20 @@ def all_colorings(T: RhombicTiling):
         yield Coloring(T, frozenset(t for t, d in zip(tiles, picks) if d))
 
 
-@dataclass
-class FixedPoint:
+class FixedPoint(Record):
     """Index sets spanning the subspace at every vertex of a tiling.
 
     assignment maps each vertex label set x to a subset of {1..n} of size
     |x|, nested along every edge; the left boundary always carries the base
-    flag {1..j}.
+    flag {1..j}.  The one mutable record: it can be assigned, and so has
+    no hash.
     """
 
     assignment: dict[LabelSet, LabelSet]
+
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
 
 def _propagate(tiles, base_vertices, dark) -> dict[LabelSet, LabelSet]:

@@ -10,10 +10,9 @@ the digest-sorted tile table, in the scan that finds the poset's covers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .permutations import Permutation
+from .permutations import Permutation, Record
 from .tilings import (
     LabelSet,
     RhombicTiling,
@@ -66,8 +65,7 @@ def _hexagons(tiles: frozenset[ZonoTile], orientation: str):
                     yield (a, b, c), S
 
 
-@dataclass(frozen=True)
-class FlipSite:
+class FlipSite(Record):
     """A flippable hexagon: its label triple, base subset, and which of the
     two rhombus triples currently fills it."""
 
@@ -147,8 +145,7 @@ def coarsen_flip(T: RhombicTiling, f: FlipSite) -> ZonoTiling:
     return ZonoTiling(T.w, kept | {ZonoTile(f.labels, f.base)})
 
 
-@dataclass(frozen=True)
-class FlipGraph:
+class FlipGraph(Record):
     """All rhombic tilings of one E(w), joined when one flip apart.
 
     Tilings are int masks over `tiles`, the tile table in `key` order, sorted

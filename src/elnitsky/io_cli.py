@@ -9,26 +9,30 @@ sum of its members' directions.
 Every subcommand is a fresh process, so each loads only what it runs.
 This module imports `errors`, `permutations` and `tilings`, which parsing
 and every subcommand need; a `_cmd_*` function imports any other module
-it calls (`flips`, `zonotopal` or `bott_samelson`) when it runs.
+it calls (`flips`, `zonotopal` or `bott_samelson`) when it runs, and
+`json` loads only to parse a tiling or print `poincare`.  No module of the
+package uses `dataclasses`, which would load `inspect` and `ast` too.
+`enumerate`, `flipgraph` and `words --all` write their lines through one
+writer, `_write_lines`, a chunk of lines per write: few system calls even
+on unbuffered stdout, and never the whole output held twice.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .errors import GuardExceeded
-from .permutations import Permutation, Word, contains_pattern
+from .permutations import Permutation, Record, Word, contains_pattern
 from .tilings import (
     LabelSet,
     RhombicTiling,
     ZonoTile,
     ZonoTiling,
     canonical_lines,
-    peeling_orders,
+    peeling_lines,
     polygon_vertices,
     prefix_sets,
     tiling_to_word,
@@ -52,8 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PolygonGeometry:
+class PolygonGeometry(Record):
     """Unit directions for the n edge labels of E(w)."""
 
     n: int
@@ -75,8 +78,7 @@ def vertex_position(S: LabelSet, g: PolygonGeometry) -> tuple[float, float]:
     return (x, y)
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(Record):
     scale: float = 72.0
     show_vertex_labels: bool = True
     coloring: Coloring | None = None
@@ -190,6 +192,8 @@ def _int_list(value, what: str) -> list[int]:
 
 def parse_tiling(text: str) -> RhombicTiling | ZonoTiling:
     """Read tiling JSON, rhombic or zonotopal, and reject anything invalid."""
+    import json  # here, so that subcommands that parse no tiling never load it
+
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:
@@ -246,6 +250,20 @@ def _read_input(path: str) -> str:
 # ---------------------------------------------------------------------------
 # commands
 
+# the most lines one write joins: a few hundred kilobytes at most of
+# `enumerate`'s longest lines, so no process holds its output twice
+_CHUNK_LINES = 256
+
+
+def _write_lines(lines) -> None:
+    """Write each line and a newline to stdout, one write per _CHUNK_LINES
+    lines; `lines` may be a stream, of which one chunk is held at a time."""
+    write = sys.stdout.write
+    lines = iter(lines)
+    for first in lines:
+        write("\n".join([first, *islice(lines, _CHUNK_LINES - 1), ""]))
+
+
 def _cmd_tile(args) -> None:
     word = parse_word(args.word, args.n)
     print(word_to_tiling(word).to_json())
@@ -254,16 +272,15 @@ def _cmd_tile(args) -> None:
 def _cmd_words(args) -> None:
     T = to_rhombic(parse_tiling(_read_input(args.tiling)))
     if args.all:
-        write = sys.stdout.write
-        for letters in peeling_orders(T):
-            write(",".join(map(str, letters)) + "\n")
+        _write_lines(peeling_lines(T))
     else:
         print(tiling_to_word(T).to_string())
 
 
 def _cmd_enumerate(args) -> None:
     lines = canonical_lines(parse_permutation(args.w), args.zonotopal)
-    print(*lines, len(lines), sep="\n")
+    lines.append(str(len(lines)))
+    _write_lines(lines)
 
 
 def _cmd_flipgraph(args) -> None:
@@ -273,8 +290,10 @@ def _cmd_flipgraph(args) -> None:
     if args.dot:
         sys.stdout.write(to_dot(g))
     else:
-        for digest, neighbors in g.adjacency.items():
-            print(f"{digest}: {' '.join(neighbors)}".rstrip())
+        _write_lines(
+            f"{digest}: {' '.join(neighbors)}".rstrip()
+            for digest, neighbors in g.adjacency.items()
+        )
 
 
 _UNIQUE_MAX_PATTERNS = ((4, 2, 3, 1), (4, 3, 1, 2), (3, 4, 2, 1))
@@ -310,6 +329,8 @@ def _cmd_poset(args) -> None:
 
 
 def _cmd_poincare(args) -> None:
+    import json
+
     from .bott_samelson import poincare
 
     tiling = parse_tiling(_read_input(args.tiling))

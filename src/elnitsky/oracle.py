@@ -10,10 +10,9 @@ closure at all.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import check_length_guard
-from .permutations import Permutation, Word, apply_simple, evaluate
+from .permutations import Permutation, Record, Word, apply_simple, evaluate
 
 __all__ = [
     "CommutationClass",
@@ -24,8 +23,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CommutationClass:
+class CommutationClass(Record):
     """A commutation class: its lexicographically least word and all members."""
 
     representative: Word

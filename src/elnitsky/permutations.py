@@ -9,7 +9,7 @@ order to the identity.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator
 
 __all__ = [
@@ -28,8 +28,77 @@ __all__ = [
 InversionSet = frozenset[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Record:
+    """The base of the package's value classes, in place of a frozen
+    dataclass.  A subclass's fields are its own annotated names, in order,
+    or else its base's; a class attribute of a field's name is its default.
+    `__init__` sets the fields, by position or name, then runs
+    `__post_init__`, which may normalise them with `object.__setattr__`.
+    Two records are equal iff they are of one class with equal fields, the
+    hash is that of the fields' tuple, the repr lists the fields by name,
+    and no attribute can be assigned or deleted.  `cached_property` still
+    works: it writes the instance's `__dict__` directly."""
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__annotations__  # its own only: {} if it annotates nothing
+        if own:
+            cls._fields = fields = tuple(own)
+            get = attrgetter(*fields)
+            # the fields as one tuple, even when there is one field
+            cls._values = staticmethod(get if len(fields) > 1 else lambda r: (get(r),))
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if len(values) > len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields")
+        state = vars(self)
+        state.update(zip(fields, values))
+        if len(values) < len(fields) or named:
+            for name in fields[len(values) :]:
+                if name in named:
+                    state[name] = named.pop(name)
+                elif hasattr(type(self), name):
+                    state[name] = getattr(type(self), name)
+                else:
+                    raise TypeError(f"{type(self).__name__} needs the field {name!r}")
+            if named:
+                raise TypeError(f"{type(self).__name__} has no field {next(iter(named))!r}")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    @classmethod
+    def _make(cls, *values):
+        """A record of these field values, set without `__post_init__`."""
+        self = object.__new__(cls)
+        vars(self).update(zip(cls._fields, values))
+        return self
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        values = zip(self._fields, self._values(self))
+        fields = ", ".join(f"{name}={value!r}" for name, value in values)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Permutation(Record):
     """A permutation of {1, ..., n} in one-line notation.
 
     >>> w = Permutation.from_string("7456312")
@@ -127,8 +196,7 @@ class Permutation:
         return f"Permutation({self.to_string()!r})"
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """A word in the letters 1..n-1, each letter naming a simple transposition."""
 
     letters: tuple[int, ...]

@@ -29,14 +29,16 @@ bijection with commutation classes of reduced words mechanical:
   Validation and word extraction share one greedy peel, smallest position
   first: a sitting tile stays sitting until it is peeled, so greedy gets
   stuck iff no peeling order exists (see `_greedy_peel`);
-* `all_words` walks the whole commutation class as the linear extensions
-  of the heap of the greedy peel's word.  A rhombus peels at position
-  len(base) in every order, so each tile has one letter and needs the
-  latest earlier tiles of letters one apart or equal; the walk's nodes are
-  the down-sets of that order, int masks of the tiles peeled, each reached
-  once.  A down-set's moves have distinct letters and are taken in
+* `peeling_orders` walks the whole commutation class as the linear
+  extensions of the heap of the greedy peel's word.  A rhombus peels at
+  position len(base) in every order, so each tile has one letter and needs
+  the latest earlier tiles of letters one apart or equal; the walk's nodes
+  are the down-sets of that order, int masks of the tiles peeled, each
+  reached once.  A down-set's moves have distinct letters and are taken in
   increasing order, and all words have the same length, so the words
-  stream out in lexicographic order (see `peeling_orders`).
+  stream out in lexicographic order.  The same DAG, its moves labelled
+  with prebuilt text, gives `words --all` its lines (`peeling_lines`), and
+  `all_words` makes `Word`s of the letters without checking them again.
 
 Tile-set equality is the canonical form of a commutation class: two reduced
 words grow the same tile set iff they differ by commutation moves.  Its
@@ -55,9 +57,8 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -67,7 +68,7 @@ from .errors import (
     NotReducedError,
     check_length_guard,
 )
-from .permutations import Permutation, Word, inversions
+from .permutations import Permutation, Record, Word, inversions
 
 __all__ = [
     "LabelSet",
@@ -80,6 +81,7 @@ __all__ = [
     "tiling_to_word",
     "all_words",
     "peeling_orders",
+    "peeling_lines",
     "enumerate_rhombic",
     "enumerate_zonotopal",
     "canonical_lines",
@@ -143,8 +145,7 @@ class ZonoTile(NamedTuple("ZonoTile", [("labels", tuple), ("base", LabelSet)])):
         return f"{type(self).__name__}({self.labels}, {{{base}}})"
 
 
-@dataclass(frozen=True)
-class ZonoTiling:
+class ZonoTiling(Record):
     """A set of 2k-gon tiles tiling E(w); equality is tile-set equality."""
 
     w: Permutation
@@ -362,6 +363,27 @@ def peeling_orders(T: RhombicTiling) -> Iterator[tuple[int, ...]]:
     its cost follows its output, and it holds the DAG and one path, no
     boundary of rank n.
     """
+    return _walk(_peeling_dag(T, _letter, _letter))
+
+
+def peeling_lines(T: RhombicTiling) -> Iterator[str]:
+    """The letters of every peeling order of T as text, `"3,1,2"`, in the
+    order of `peeling_orders`; the identity's one empty order is `""`.
+    Refuses as `peeling_orders` does.  The same walk adds each move's
+    prebuilt text, `"3,"` inside a word and `"3"` at its end, to the text
+    before it, so a line costs one concatenation, not a `str` and a join
+    per letter."""
+    return _walk(_peeling_dag(T, "{},".format, str), "")
+
+
+def _letter(a: int) -> tuple[int]:
+    return (a,)
+
+
+def _peeling_dag(T: RhombicTiling, inner: Callable, last: Callable) -> list:
+    """The root of the down-set DAG of `peeling_orders`, refusing first:
+    each move's label is `inner(a)` for its letter a, or `last(a)` on the
+    move that peels the last tile."""
     _require_rhombi(T)
     check_length_guard(len(T.tiles), "peeling-order enumeration")
     peeled = _greedy_peel(T)[0]
@@ -372,51 +394,56 @@ def peeling_orders(T: RhombicTiling) -> Iterator[tuple[int, ...]]:
     for k, t in enumerate(peeled):
         a = len(t.base) + 1
         need = latest.get(a - 1, 0) | latest.get(a, 0) | latest.get(a + 1, 0)
-        tiles.append((a, 1 << k, need))
+        tiles.append((a, 1 << k, need, inner(a), last(a)))
         latest[a] = 1 << k
     tiles.sort()
+    full = (1 << len(tiles)) - 1
     moves: dict[int, list] = {0: []}
     todo = [0]
     while todo:
         done = todo.pop()
         out = moves[done]
-        for a, bit, need in tiles:
+        for a, bit, need, inside, end in tiles:
             if not done & bit and not need & ~done:
                 after = done | bit
                 if after not in moves:
                     moves[after] = []
                     todo.append(after)
-                out.append((a, moves[after]))
-    return _walk(moves[0])
+                out.append((end if after == full else inside, moves[after]))
+    return moves[0]
 
 
-def _walk(root: list) -> Iterator[tuple]:
-    """The labels of every path from `root` to a node with no moves, depth
-    first in move order; a node is its list of moves (label, next node)."""
+def _walk(root: list, start=()) -> Iterator:
+    """Every path from `root` to a node with no moves, depth first in move
+    order, as `start` plus its labels in turn, by `+`; a node is its list
+    of moves (label, next node).  Labels are 1-tuples for a tuple of
+    labels, or strings for text."""
     if not root:
-        yield ()
+        yield start
         return
-    labels = []
-    path = [iter(root)]
+    prefix = start
+    stack = []
+    moves = iter(root)
     while True:
-        for label, after in path[-1]:
+        for label, after in moves:
             if not after:
-                yield (*labels, label)
+                yield prefix + label
             else:
-                labels.append(label)
-                path.append(iter(after))
+                stack.append((moves, prefix))
+                prefix += label
+                moves = iter(after)
                 break
         else:
-            path.pop()
-            if not path:
+            if not stack:
                 return
-            labels.pop()
+            moves, prefix = stack.pop()
 
 
 def all_words(T: RhombicTiling) -> frozenset[Word]:
     """All peeling orders of T: the full commutation class of its words
-    (see `peeling_orders`)."""
-    return frozenset(Word(x, T.n) for x in peeling_orders(T))
+    (see `peeling_orders`).  The walk's letters lie in 1..n-1, so the words
+    are made without `Word`'s letter check."""
+    return frozenset(map(Word._make, peeling_orders(T), repeat(T.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +588,7 @@ def _growth_graph(w: Permutation, max_run: int) -> tuple[list[ZonoTile], list]:
 def _block_graph(target: tuple, lo: int, fits: list, max_run: int, tiles: list, end: list):
     """The root of the growth graph of one block of w: the values lo+1..hi
     that w puts at positions lo+1..hi, grown from the identity to `target`.
-    A node is its list of moves (tile index, next node); the node at
+    A node is its list of moves ((tile index,), next node); the node at
     `target` is `end`, and the paths to it list each tiling once.
 
     At boundary u a tile fits over positions p..q when u increases there
@@ -642,11 +669,11 @@ def _expand(u: tuple, reach: tuple, fitting: int, block: tuple):
             for x in u[base.bit_count() : p]:
                 base |= 1 << x
             code = base << shift | labels
-            index = codes.get(code)
-            if index is None:
-                index = codes[code] = len(tiles)
+            label = codes.get(code)
+            if label is None:
+                label = codes[code] = (len(tiles),)
                 tiles.append(ZonoTile(u[p : q + 1], below.union(u[:p])))
-            moves.append((index, after))
+            moves.append((label, after))
     return moves or None
 
 

@@ -21,12 +21,11 @@ shares (covers are found on the masks by the flips' scan,
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import product
 from math import comb
 
-from .permutations import Permutation
+from .permutations import Permutation, Record
 from .tilings import (
     RhombicTiling,
     ZonoTile,
@@ -74,8 +73,7 @@ def _same_polygon(Z1: ZonoTiling, Z2: ZonoTiling) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ZonoPoset:
+class ZonoPoset(Record):
     """All zonotopal tilings of one E(w) under reverse edge inclusion.
 
     Elements are digest-sorted for reproducible output, and `digests` holds

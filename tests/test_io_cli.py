@@ -37,7 +37,11 @@ from elnitsky import (
     word_to_tiling,
 )
 
-from helpers import some_reduced_word, unpeelable_pairs_tiling
+from elnitsky.io_cli import _CHUNK_LINES, _build_parser, _read_input
+from elnitsky.oracle import commutation_class_of
+from elnitsky.tilings import peeling_orders, tiling_to_word, to_rhombic
+
+from helpers import some_reduced_word, symmetric_group, unpeelable_pairs_tiling
 
 T21 = word_to_tiling(Word((1,), 2))
 T121 = word_to_tiling(Word((1, 2, 1), 3))
@@ -410,6 +414,107 @@ def test_cli_words_all_streams_the_pinned_class_and_refuses_before_it(tmp_path, 
         "",
         "error: tiles do not admit any peeling order from the base boundary\n",
     )
+
+
+def class_lines(orders):
+    """The slow definition of `words --all` output: each order's letters
+    joined by commas, one line each."""
+    return "".join(",".join(map(str, x)) + "\n" for x in orders)
+
+
+def words_all(capsys, path, T):
+    path.write_text(T.to_json())
+    code, out, err = run(capsys, "words", str(path), "--all")
+    assert (code, err) == (0, "")
+    return out
+
+
+def test_cli_words_all_is_the_commutation_class_on_s1_to_s5(tmp_path, capsys):
+    """On every rhombic tiling of S1-S5, the streamed text is the peeling
+    orders written one by one, and the oracle's class of T's least word."""
+    path = tmp_path / "t.json"
+    for n in range(1, 6):
+        for w in symmetric_group(n):
+            for T in enumerate_rhombic(w):
+                out = words_all(capsys, path, T)
+                assert out == class_lines(peeling_orders(T))
+                members = commutation_class_of(tiling_to_word(T)).members
+                assert out == class_lines(sorted(v.letters for v in members))
+
+
+def test_cli_words_all_edge_classes(tmp_path, capsys):
+    """The identity prints its one empty word; letters from 10 up sort as
+    integers, not as text, as `peeling_orders` orders them."""
+    path = tmp_path / "t.json"
+    identity = RhombicTiling(Permutation.identity(3), frozenset())
+    assert words_all(capsys, path, identity) == "\n"
+    T = word_to_tiling(Word((2, 10, 11, 10, 9), 12))
+    out = words_all(capsys, path, T)
+    assert out == class_lines(peeling_orders(T))
+    members = commutation_class_of(tiling_to_word(T)).members
+    assert out == class_lines(sorted(v.letters for v in members))
+    assert out.splitlines()[:2] == ["2,10,11,10,9", "10,2,11,10,9"]
+
+
+@pytest.mark.long
+def test_cli_words_all_of_eight_commuting_letters(tmp_path, capsys):
+    T = word_to_tiling(Word(tuple(range(1, 16, 2)), 16))
+    out = words_all(capsys, tmp_path / "t.json", T)
+    assert out.count("\n") == math.factorial(8)
+    assert out == class_lines(peeling_orders(T))
+    members = commutation_class_of(tiling_to_word(T)).members
+    assert out == class_lines(sorted(v.letters for v in members))
+
+
+class NullOut:
+    """A stdout that keeps nothing, so that tracemalloc sees the writer."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_cli_words_all_holds_one_chunk_of_its_output(tmp_path):
+    """`words --all` on 8 commuting letters traces no more than writing
+    each line as it is made, plus one chunk: its lines (8-byte rounded
+    strings), the list that holds them, their join, and the text walk's
+    prefix at each depth.  Tracemalloc's peaks move by a few hundred bytes
+    with the allocator's state, so a tenth more is allowed."""
+    path = tmp_path / "t.json"
+    path.write_text(word_to_tiling(Word(tuple(range(1, 16, 2)), 16)).to_json())
+    argv = ["words", str(path), "--all"]
+
+    def line_by_line():
+        args = _build_parser().parse_args(argv)
+        T = to_rhombic(parse_tiling(_read_input(args.tiling)))
+        for letters in peeling_orders(T):
+            sys.stdout.write(",".join(map(str, letters)) + "\n")
+
+    def peak(call):
+        """The least traced peak of three calls, after one untraced call,
+        so that lazy imports and one-off allocator states are not counted."""
+        peaks = []
+        with redirect_stdout(NullOut()):
+            call()
+            for _ in range(3):
+                tracemalloc.start()
+                try:
+                    call()
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        return min(peaks)
+
+    reference = peak(line_by_line)
+    streamed = peak(lambda: main(argv))
+    longest = "1,3,5,7,9,11,13,15"
+    held = -(-sys.getsizeof(longest) // 8) * 8
+    chunk = (
+        _CHUNK_LINES * (held + len(longest) + 1)
+        + sys.getsizeof([*range(_CHUNK_LINES + 1)])
+        + sys.getsizeof("")
+        + 8 * held
+    )
+    assert streamed <= reference + 1.1 * chunk
 
 
 def test_cli_refuses_a_tile_listed_twice(tmp_path, capsys):
@@ -861,13 +966,17 @@ SUBCOMMAND_MODULES = {
     "poincare {t}": {"bott_samelson"},
     "fixedpoints {t}": {"bott_samelson"},
 }
+# standard-library modules whose loading the test below checks
+WATCHED = ("dataclasses", "hashlib", "inspect", "json")
 # run main on argv[2:] with src (argv[1]) on the path, then print as JSON the
-# exit code, the `elnitsky` modules loaded and whether hashlib was loaded
+# exit code, the `elnitsky` modules loaded and the WATCHED modules loaded, both
+# read before the script's own `import json`
 LOADED_MODULES = (
     "import sys; sys.path.insert(0, sys.argv.pop(1)); "
     "from elnitsky.io_cli import main; code = main(sys.argv[1:]); "
-    "import json; print(json.dumps([code, sorted(m for m in sys.modules "
-    "if m.startswith('elnitsky.')), 'hashlib' in sys.modules]))"
+    "loaded = sorted(sys.modules); "
+    "import json; print(json.dumps([code, [m for m in loaded "
+    f"if m.startswith('elnitsky.') or m in {WATCHED!r}]]))"
 )
 
 
@@ -892,9 +1001,15 @@ def test_cli_subcommand_loads_only_the_modules_it_runs(tmp_path, argv):
         capture_output=True, text=True,
     )
     assert proc.stderr == ""
-    code, loaded, hashlib_loaded = json.loads(proc.stdout.splitlines()[-1])
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
     modules = BASE_MODULES | SUBCOMMAND_MODULES[argv]
-    assert set(loaded) == {f"elnitsky.{m}" for m in modules}
-    if argv.split()[0] in ("tile", "enumerate"):
-        assert not hashlib_loaded
+    watched = set(loaded).intersection(WATCHED)
+    assert set(loaded) - watched == {f"elnitsky.{m}" for m in modules}
+    # no subcommand pays for `dataclasses` and the `inspect` it loads
+    assert not watched & {"dataclasses", "inspect"}
+    command = argv.split()[0]
+    if command in ("tile", "enumerate"):
+        assert "hashlib" not in watched
+    if command in ("tile", "enumerate", "flipgraph", "poset"):
+        assert "json" not in watched
