@@ -268,10 +268,12 @@ def fixed_point_images(T: RhombicTiling) -> frozenset[Permutation]:
     `_propagate` reads only the boundary around each tile, whose index sets
     form a flag: a permutation v, the identity first and the image last.  A
     light tile at letter j keeps v; a dark one, P | (Q - M), swaps v(j) and
-    v(j+1).  So the sweep keeps distinct flags only: states |= {v s_j}."""
+    v(j+1).  So the sweep keeps distinct flags only: states |= {v s_j}.
+    Each state is a permutation by construction, swaps of the identity, so
+    it is made by `Permutation._make`, without the check."""
     check_length_guard(len(T.tiles), "fixed-point sweep")
     states = {tuple(range(1, T.n + 1))}
     for letter in tiling_to_word(T):
         i = letter - 1
         states |= {v[:i] + (v[i + 1], v[i]) + v[i + 2 :] for v in states}
-    return frozenset(map(Permutation, states))
+    return frozenset(map(Permutation._make, states))

@@ -12,9 +12,10 @@ and every subcommand need; a `_cmd_*` function imports any other module
 it calls (`flips`, `zonotopal` or `bott_samelson`) when it runs, and
 `json` loads only to parse a tiling or print `poincare`.  No module of the
 package uses `dataclasses`, which would load `inspect` and `ast` too.
-`enumerate`, `flipgraph` and `words --all` write their lines through one
-writer, `_write_lines`, a chunk of lines per write: few system calls even
-on unbuffered stdout, and never the whole output held twice.
+`enumerate`, `flipgraph`, `words --all` and `poset`'s cover lines are
+written through one writer, `_write_lines`, a chunk of lines per write:
+few system calls even on unbuffered stdout, and never the whole output
+held twice.
 """
 from __future__ import annotations
 
@@ -310,13 +311,7 @@ def _cmd_poset(args) -> None:
     above = [[] for _ in d]
     for i, j in p.cover_indices:
         above[i].append(d[j])
-    sys.stdout.write(
-        "".join(
-            f"cover {lo} " + f"\ncover {lo} ".join(ups) + "\n"
-            for lo, ups in zip(d, above)
-            if ups
-        )
-    )
+    _write_lines(f"cover {lo} {up}" for lo, ups in zip(d, above) for up in ups)
     top = [digest for digest, ups in zip(d, above) if not ups]
     for digest in top:
         print(f"maximal {digest}")

@@ -46,12 +46,18 @@ canonical JSON lists the tiles sorted by their `key`, (labels, sorted base),
 never as tuples; each tile computes that key and its JSON text once, and
 one layout (`_json_writer`) joins those texts, byte for byte what
 `json.dumps` would write.  `to_json` sorts one tiling's tiles by key on
-each call.  `_canonical_paths` ranks the growth graph's one tile table by
-key once, so a path's ranks, sorted, are its canonical tile order, and it
-writes a path's line only for `canonical_lines`, which sorts the lines, and
-`_digest_table`, which digests them into the one digest-sorted E(w) whose
-flips and covers `_replaced` finds in one scan.  `zonotopal` reads ranks
-alone; no package code calls the cached `enumerate_*`, which build tilings.
+each call.  The tiles of one tiling share no inversion pair of w, so their
+key order is that of their leading pairs, their two smallest labels: one
+fixed order of l(w) slots, one per pair.  `_canonical_paths` walks the
+growth graph once, each move writing its tile's text into the slot of its
+leading pair and "" into its other pairs' slots, so every path fills every
+slot and the walk never undoes a write; a path's line is its slots joined,
+and its mask over the key-sorted tile table the OR of its tiles' bits.
+The walk follows each run of nodes with one move without stacking them.
+Only `canonical_lines`, which sorts the lines, and `_digest_table`, which
+digests them into the one digest-sorted E(w) whose flips and covers
+`_replaced` finds in one scan, write lines.  `zonotopal` reads masks alone;
+no package code calls the cached `enumerate_*`, which build tilings.
 """
 from __future__ import annotations
 
@@ -359,9 +365,8 @@ def peeling_orders(T: RhombicTiling) -> Iterator[tuple[int, ...]]:
     The later of two tiles of one letter needs the earlier, so the moves
     have distinct letters; taken in increasing order, with every order
     len(T.tiles) letters long, they yield the words in lexicographic order.
-    `_walk`, which also walks the paths of `_growth_graph`, streams them:
-    its cost follows its output, and it holds the DAG and one path, no
-    boundary of rank n.
+    `_walk` streams them: its cost follows its output, and it holds the
+    DAG and one path, no boundary of rank n.
     """
     return _walk(_peeling_dag(T, _letter, _letter))
 
@@ -452,13 +457,13 @@ def all_words(T: RhombicTiling) -> frozenset[Word]:
 @lru_cache(maxsize=256)
 def enumerate_rhombic(w: Permutation) -> frozenset[RhombicTiling]:
     """All rhombic tilings of E(w): boundary growth by runs of length 2."""
-    return _grow(w, *_guard(w, zonotopal=False))
+    return _grow(w, RhombicTiling, zonotopal=False)
 
 
 @lru_cache(maxsize=256)
 def enumerate_zonotopal(w: Permutation) -> frozenset[ZonoTiling]:
     """All zonotopal tilings of E(w): boundary growth by runs of any length."""
-    return _grow(w, *_guard(w, zonotopal=True))
+    return _grow(w, ZonoTiling, zonotopal=True)
 
 
 def canonical_lines(w: Permutation, zonotopal: bool = False) -> list[str]:
@@ -469,31 +474,97 @@ def canonical_lines(w: Permutation, zonotopal: bool = False) -> list[str]:
     Refuses as `enumerate_rhombic` (or `enumerate_zonotopal`) does.
     """
     _, write, paths = _canonical_paths(w, zonotopal)
-    return sorted(map(write, paths))
+    return sorted([write(slots) for _, slots in paths()])
 
 
-def _canonical_paths(w: Permutation, zonotopal: bool) -> tuple[list, Callable, Iterator]:
+def _canonical_paths(w: Permutation, zonotopal: bool) -> tuple[list, Callable, Callable]:
     """The tile table of E(w)'s growth graph, sorted by `key`; `write`, which
-    gives the canonical JSON line of a tiling's sorted ranks; and for each
-    tiling, one per path, its tiles' ranks in the table, sorted.
+    gives a tiling's canonical JSON line from its slots; and `paths`, whose
+    call `paths(banned)` yields (mask, slots) for each tiling, one per path,
+    with no tile of a bit in `banned`: its mask over the table and its l(w)
+    slots of JSON text, one per inversion pair in lex order (see above).
 
     Refuses as `enumerate_rhombic` (or `enumerate_zonotopal`) does, before
-    it returns.  The table is ranked once by `key`, so a path's sorted ranks
-    are its tiles in canonical order, ready to be a mask over the table;
-    only callers that print or digest a line call `write`.
+    it returns.  Each tile's label in the graph is rewritten once, in place,
+    to its bit and its writes, (slot, text) pairs: its `json_tail` into its
+    leading pair's slot and "" into its other pairs'.  `slots` is the walk's
+    one list, to be read before the next path; only callers that print or
+    digest a line call `write`.  Banned tiles are cut from a copy of the
+    graph with the dead ends they leave (`_without`), so the walk visits
+    only the paths it yields.
     """
     max_run, tiling_type = _guard(w, zonotopal)
-    tiles, root = _growth_graph(w, max_run)
-    order = sorted(range(len(tiles)), key=lambda i: tiles[i].key)
-    rank = sorted(range(len(tiles)), key=order.__getitem__)
-    tiles = [tiles[i] for i in order]
-    tails = [t.json_tail for t in tiles]
+    labels, root = _growth_graph(w, max_run)
+    labels.sort(key=lambda label: label[0].key)
+    tiles = [label[0] for label in labels]
+    slot = {pair: s for s, pair in enumerate(sorted(inversions(w)))}
+    for r, (label, t) in enumerate(zip(labels, tiles)):
+        lead, *rest = (slot[pair] for pair in combinations(t.labels, 2))
+        label[:] = 1 << r, ((lead, t.json_tail), *((s, "") for s in rest))
     line = _json_writer(w, tiling_type.json_key)
+    # a rhombus fills only its leading pair's slot, so no slot is left blank
+    write = line if max_run == 2 else lambda slots: line(filter(None, slots))
 
-    def write(ranks) -> str:
-        return line(map(tails.__getitem__, ranks))
+    def paths(banned: int = 0) -> Iterator[tuple[int, list]]:
+        start = _without(root, banned, {}) if banned else root
+        return iter(()) if start is None else _fill_slots(start, len(slot))
 
-    return tiles, write, (sorted(map(rank.__getitem__, p)) for p in _walk(root))
+    return tiles, write, paths
+
+
+def _fill_slots(root: list, size: int) -> Iterator[tuple[int, list]]:
+    """(mask, slots) for each path from `root` to the end, depth first in
+    move order, over a growth graph whose labels are (bits, writes): the OR
+    of the path's bits, and `size` slots, each last set by one of the
+    path's writes, (slot, text) pairs (see `_canonical_paths`).  A run of
+    nodes of one move is followed on the spot, so the walk stacks only
+    where paths branch: at 7654312 most of the nodes a path meets have one
+    move."""
+    slots = [""] * size
+    if not root:
+        yield 0, slots
+        return
+    mask = 0
+    stack = []
+    node = iter(root)
+    while True:
+        for (bits, writes), after in node:
+            for s, text in writes:
+                slots[s] = text
+            while len(after) == 1:
+                (more, writes), after = after[0]
+                for s, text in writes:
+                    slots[s] = text
+                bits |= more
+            if after:
+                stack.append((node, mask))
+                mask |= bits
+                node = iter(after)
+                break
+            yield mask | bits, slots
+        else:
+            if not stack:
+                return
+            node, mask = stack.pop()
+
+
+def _without(node: list, banned: int, memo: dict) -> list | None:
+    """A copy of the growth graph from `node` without the moves whose
+    label has a bit in `banned`, or the nodes then left with no way to the
+    end (None); `memo` maps the ids of the nodes seen, all alive, to their
+    copies."""
+    if not node:
+        return node
+    out = memo.get(id(node), False)
+    if out is False:
+        out = []
+        for label, after in node:
+            if not label[0] & banned:
+                after = _without(after, banned, memo)
+                if after is not None:
+                    out.append((label, after))
+        out = memo[id(node)] = out or None
+    return out
 
 
 def _digest_table(w: Permutation, zonotopal: bool) -> tuple[tuple, tuple, tuple]:
@@ -501,8 +572,7 @@ def _digest_table(w: Permutation, zonotopal: bool) -> tuple[tuple, tuple, tuple]
     `_canonical_paths` hashed once and no tiling built: their digests,
     sorted, their masks over the tile table in that order, and the table."""
     tiles, write, paths = _canonical_paths(w, zonotopal)
-    bits = [1 << r for r in range(len(tiles))]
-    rows = ((_line_digest(write(p)), sum(map(bits.__getitem__, p))) for p in paths)
+    rows = [(_line_digest(write(slots)), mask) for mask, slots in paths()]
     digests, masks = zip(*sorted(rows, key=itemgetter(0)))
     return digests, masks, tuple(tiles)
 
@@ -549,18 +619,19 @@ def _guard(w: Permutation, zonotopal: bool) -> tuple[int, type[ZonoTiling]]:
     return w.n, ZonoTiling
 
 
-def _grow(w: Permutation, max_run: int, tiling_type: type[ZonoTiling]) -> frozenset:
-    """All tilings of E(w) by tiles of at most `max_run` labels: each path
-    of `_growth_graph`, its tile indices looked up, as one `tiling_type`."""
-    tiles, root = _growth_graph(w, max_run)
-    paths = _walk(root)
-    return frozenset(tiling_type(w, frozenset(map(tiles.__getitem__, p))) for p in paths)
+def _grow(w: Permutation, tiling_type: type[ZonoTiling], zonotopal: bool) -> frozenset:
+    """All rhombic (or zonotopal) tilings of E(w): each path of
+    `_canonical_paths`, its mask's tiles looked up, as one `tiling_type`."""
+    tiles, _, paths = _canonical_paths(w, zonotopal)
+    return frozenset(tiling_type(w, _tiles_of(mask, tiles)) for mask, _ in paths())
 
 
-def _growth_graph(w: Permutation, max_run: int) -> tuple[list[ZonoTile], list]:
-    """The tiles and the root of the growth graph of E(w) by tiles of at
-    most `max_run` labels: `_walk(root)` lists every tiling once, as
-    indices into the tiles.
+def _growth_graph(w: Permutation, max_run: int) -> tuple[list[list], list]:
+    """The tile labels and the root of the growth graph of E(w) by tiles
+    of at most `max_run` labels, whose paths to the end list every tiling
+    once.  A label is a list holding one tile, made with the tile and shared
+    by every move that places it, so that a caller can rewrite it once, in
+    place, into what its walk reads (see `_canonical_paths`).
 
     w is split at its pinch vertices, the j with min w(j+1..n) = j+1 (so
     w({1..j}) = {1..j}), found right to left by one running minimum.  No
@@ -573,23 +644,24 @@ def _growth_graph(w: Permutation, max_run: int) -> tuple[list[ZonoTile], list]:
     fits = [0] * (w.n + 1)
     for a, b in inversions(w):
         fits[a] |= 1 << b
-    tiles: list[ZonoTile] = []
+    table: list[list] = []
     root: list = []
     hi = low = w.n
     for lo in reversed(range(w.n)):
         low = min(low, w.values[lo])
         if low == lo + 1:
             if hi - lo > 1:
-                root = _block_graph(w.values[lo:hi], lo, fits, max_run, tiles, root)
+                root = _block_graph(w.values[lo:hi], lo, fits, max_run, table, root)
             hi = lo
-    return tiles, root
+    return table, root
 
 
-def _block_graph(target: tuple, lo: int, fits: list, max_run: int, tiles: list, end: list):
+def _block_graph(target: tuple, lo: int, fits: list, max_run: int, table: list, end: list):
     """The root of the growth graph of one block of w: the values lo+1..hi
     that w puts at positions lo+1..hi, grown from the identity to `target`.
-    A node is its list of moves ((tile index,), next node); the node at
-    `target` is `end`, and the paths to it list each tiling once.
+    A node is its list of moves (label, next node), each label the list
+    `[tile]` that its first move appends to `table`; the node at `target` is
+    `end`, and the paths to it list each tiling once.
 
     At boundary u a tile fits over positions p..q when u increases there
     through values whose every pair is an inversion of w; placing it
@@ -603,7 +675,7 @@ def _block_graph(target: tuple, lo: int, fits: list, max_run: int, tiles: list, 
     them: inversions of w are transitive, so a < b < c with (a, b) and
     (b, c) inverted has (a, c) inverted too.  A tile's code, the bits of
     u[:p] (gathered as p grows; their count is how far) over its label
-    bits, finds its index in `tiles`, where its first move appends it.
+    bits, finds its label.
 
     Each tile set is grown by one placement order only.  Two tiles can be
     placed in either order iff their segments are disjoint (a tile's base is
@@ -620,25 +692,35 @@ def _block_graph(target: tuple, lo: int, fits: list, max_run: int, tiles: list, 
     Which tiles may still be placed, and which of them keep the order
     canonical, depend on the state (u, reach) alone, not on the tiles that
     reached it.  So each state is one node, expanded once (see `_expand`).
+    A state is one `bytes`, reach then u, whose hash is computed once: u
+    holds values less lo, 1..size, and reach positions, 0..size-1.  A block
+    of size k is connected, so it has at least k - 1 inversions and the
+    length guard keeps k <= 21, whatever lo is.
     """
     size = len(target)
-    start = tuple(range(lo + 1, lo + size + 1))
-    fitting = sum((fits[x] >> x + 1 & 1) << r for r, x in enumerate(start[:-1]))
+    fits = [fits[lo + x] >> lo for x in range(size + 1)]
+    fitting = sum((fits[x] >> x + 1 & 1) << x - 1 for x in range(1, size))
     runs = [range(p + 1, min(p + max_run, size)) for p in range(size - 1)]
+    marks = [[bytes((p,)) * (q + 1) for q in range(size)] for p in range(size)]
     below = frozenset(range(1, lo + 1))
-    block = target, end, fits, runs, size, lo + size + 1, below, tiles, {}, {}
-    return _expand(start, (0,) * size, fitting, block)
+    goal = bytes(x - lo for x in target)
+    block = goal, end, fits, runs, marks, size, lo, below, table, {}, {}
+    return _expand(bytes(size) + bytes(range(1, size + 1)), fitting, block)
 
 
-def _expand(u: tuple, reach: tuple, fitting: int, block: tuple):
-    """The node of the state (u, reach), depth first: its moves to states
-    with a canonical way on to the target, or None if there are none.  The
+def _expand(state: bytes, fitting: int, block: tuple):
+    """The node of `state`, reach then u (see `_block_graph`), depth first:
+    its moves to states with a canonical way on to the target, or None if
+    there are none.  A move is (label, next node), where the label is a
+    list holding the tile, one per tile (see `_growth_graph`).  u[i] is
+    `state[size + i]`, so a placement over p..q is reach[:q+1] set to p,
+    then the bytes up to u[p], then u[p..q] reversed, then the rest.  The
     depth is at most the block's tiles.  `block` holds what one
     `_block_graph` shares, among it the memo from states to nodes (None
-    too, so a miss is False); a plain function, not a closure over
-    itself, leaves no reference cycle to keep the graph alive."""
-    target, end, fits, runs, size, shift, below, tiles, codes, memo = block
-    if u == target:
+    too, so a miss is False); a plain function, not a closure over itself,
+    leaves no reference cycle to keep the graph alive."""
+    goal, end, fits, runs, marks, size, lo, below, table, codes, memo = block
+    if state.endswith(goal):
         return end
     moves = []
     starts = fitting
@@ -647,32 +729,36 @@ def _expand(u: tuple, reach: tuple, fitting: int, block: tuple):
         low = starts & -starts
         starts ^= low
         p = low.bit_length() - 1
-        labels = 1 << u[p]
+        reach = state[p]
+        mark = marks[p]
+        up = size + p
+        labels = 1 << state[up]
         for q in runs[p]:
             if not fitting >> q - 1 & 1:
                 break
-            labels |= 1 << u[q]
-            if reach[p] > q:
+            uq = size + q
+            labels |= 1 << state[uq]
+            if reach > q:
                 continue
-            v = u[:p] + u[p : q + 1][::-1] + u[q + 1 :]
-            state = v, (p,) * (q + 1) + reach[q + 1 :]
-            after = memo.get(state, False)
+            v = mark[q] + state[q + 1 : up] + state[uq : up - 1 : -1] + state[uq + 1 :]
+            after = memo.get(v, False)
             if after is False:
                 refit = fitting & ~((1 << q) - low)
-                if p and fits[v[p - 1]] >> v[p] & 1:
+                if p and fits[v[up - 1]] >> v[up] & 1:
                     refit |= low >> 1
-                if q + 1 < size and fits[v[q]] >> v[q + 1] & 1:
+                if q + 1 < size and fits[v[uq]] >> v[uq + 1] & 1:
                     refit |= 1 << q
-                after = memo[state] = _expand(*state, refit, block)
+                after = memo[v] = _expand(v, refit, block)
             if after is None:
                 continue
-            for x in u[base.bit_count() : p]:
+            for x in state[size + base.bit_count() : up]:
                 base |= 1 << x
-            code = base << shift | labels
+            code = base << size + 1 | labels
             label = codes.get(code)
             if label is None:
-                label = codes[code] = (len(tiles),)
-                tiles.append(ZonoTile(u[p : q + 1], below.union(u[:p])))
+                under = below.union([lo + x for x in state[size:up]])
+                label = codes[code] = [ZonoTile([lo + x for x in state[up : uq + 1]], under)]
+                table.append(label)
             moves.append((label, after))
     return moves or None
 

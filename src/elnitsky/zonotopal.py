@@ -13,11 +13,12 @@ in `ZonoPoset`.  Below Y each tile is refined on its own, by a tiling of
 E(w0(k)) carried in by `_relabel`: the rhombic ones give `refinements` and
 the coatoms the covers, both from one cached entry per k (`_coatoms`).
 Everything here reads E(w) off the key-ranked tile table of
-`tilings._canonical_paths`, as ranks or int masks, never through the cached
+`tilings._canonical_paths`, as int masks, never through the cached
 enumerations: `poset` off its digest-sorted form, which `flips.flip_graph`
 shares (covers are found on the masks by the flips' scan,
 `tilings._replaced`, and no tiling is built until `elements` is read), and
-`minimal_upper_bounds` building only the common coarsenings.
+`minimal_upper_bounds` walking only the moves of tiles both tilings fill,
+so it meets and builds only the common coarsenings.
 """
 from __future__ import annotations
 
@@ -152,7 +153,7 @@ def _coatoms(k: int) -> tuple[tuple, tuple]:
     fewer than k labels, so their rules need only smaller tables, down to
     k = 2, one rhombus with no coatom.  The length guard keeps k <= 6."""
     tiles, _, paths = _canonical_paths(Permutation.longest(k), zonotopal=True)
-    masks = [sum(1 << r for r in ranks) for ranks in paths]
+    masks = [mask for mask, _ in paths()]
     multi = [m for m in masks if m & m - 1]
     below = {i for i, _ in _cover_pairs(multi, tiles)}
     coatoms = tuple(_tiles_of(m, tiles) for i, m in enumerate(multi) if i not in below)
@@ -189,14 +190,13 @@ def minimal_upper_bounds(Z1: ZonoTiling, Z2: ZonoTiling) -> frozenset[ZonoTiling
     """Minimal elements of the set of common coarsenings of Z1 and Z2.
 
     May be empty or contain several tilings; a singleton is a least upper
-    bound.  Z >= Z1 iff Z1 fills every tile of Z, so only the paths of
-    `_canonical_paths` whose tiles Z1 and Z2 both fill are built, and compared."""
+    bound.  Z >= Z1 iff Z1 fills every tile of Z, so the walk of
+    `_canonical_paths` takes only moves whose tiles Z1 and Z2 both fill, and
+    the paths it ends, the common coarsenings, alone are built and compared."""
     _same_polygon(Z1, Z2)
     tiles, _, paths = _canonical_paths(Z1.w, zonotopal=True)
-    filled = {r for r, t in enumerate(tiles) if _fills(Z1, t) and _fills(Z2, t)}
-    bounds = [
-        ZonoTiling(Z1.w, map(tiles.__getitem__, p)) for p in paths if filled.issuperset(p)
-    ]
+    filled = sum(1 << r for r, t in enumerate(tiles) if _fills(Z1, t) and _fills(Z2, t))
+    bounds = [ZonoTiling(Z1.w, _tiles_of(mask, tiles)) for mask, _ in paths(~filled)]
     return frozenset(
         Z for Z in bounds if not any(o != Z and zono_leq(o, Z) for o in bounds)
     )

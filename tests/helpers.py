@@ -10,10 +10,13 @@ search, peelability by a backtracking search over peeling orders, every
 peeling order by a search that branches on each remaining tile, and the
 coarsening poset, its minimal upper bounds and the flip graph by comparing
 every pair of tilings, canonical JSON by `json.dumps` of the tiles sorted
-from scratch, and the Moebius function of a poset from its covers alone.
+from scratch, the Moebius function of a poset from its covers alone, and
+reduced-word counts by the descent recursion, by the hook-length formula
+and, one commutation class at a time, by memoized growth.
 """
 import json
 from itertools import combinations, permutations as value_tuples
+from math import factorial, prod
 
 from elnitsky import (
     Permutation,
@@ -379,3 +382,50 @@ def sample_permutations(n, count, seed):
         rng.shuffle(vals)
         picked.add(tuple(vals))
     return [Permutation(vals) for vals in sorted(picked)]
+
+
+def reduced_words_by_descents(w):
+    """R(w), the number of reduced words of w, by the descent recursion: a
+    reduced word of w ends in a letter i with w(i) > w(i+1), and the rest is
+    a reduced word of w s_i; the identity, with no descent, has one."""
+    memo = {}
+
+    def count(u):
+        if u not in memo:
+            descents = [i for i in range(len(u) - 1) if u[i] > u[i + 1]]
+            memo[u] = sum(count(u[:i] + (u[i + 1], u[i]) + u[i + 2 :]) for i in descents)
+            memo[u] += not descents
+        return memo[u]
+
+    return count(tuple(w.values))
+
+
+def staircase_words_by_hooks(n):
+    """R(w0(n)) by the hook-length formula: the number of standard Young
+    tableaux of the staircase (n-1, ..., 1) (Stanley 1984; Edelman-Greene
+    1987), C(n, 2)! over the product of its cells' hook lengths."""
+    rows = list(range(n - 1, 0, -1))
+    cols = [sum(1 for r in rows if r > j) for j in range(n - 1)]
+    hooks = [rows[i] - j + cols[j] - i - 1 for i in range(len(rows)) for j in range(rows[i])]
+    return factorial(sum(rows)) // prod(hooks)
+
+
+def class_size_by_growth(w, tiles):
+    """The number of reduced words of w that grow the rhombic tiling with
+    `tiles`, (pair, base) pairs of a tuple and a frozenset: from boundary
+    u, letter i is allowed iff u(i) < u(i+1) and the rhombus it grows,
+    ((u(i), u(i+1)), {u(1), ..., u(i-1)}), is a tile; words are counted
+    by memoized growth over u, from the identity to w."""
+    w = tuple(w.values)
+    memo = {w: 1}
+
+    def count(u):
+        if u not in memo:
+            memo[u] = sum(
+                count(u[:i] + (u[i + 1], u[i]) + u[i + 2 :])
+                for i in range(len(u) - 1)
+                if u[i] < u[i + 1] and ((u[i], u[i + 1]), frozenset(u[:i])) in tiles
+            )
+        return memo[u]
+
+    return count(tuple(sorted(w)))

@@ -473,6 +473,31 @@ class NullOut:
         return len(text)
 
 
+def least_peak(call):
+    """The least traced peak of three calls, after one untraced call, so
+    that lazy imports, caches and one-off allocator states are not counted;
+    stdout keeps nothing."""
+    peaks = []
+    with redirect_stdout(NullOut()):
+        call()
+        for _ in range(3):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    return min(peaks)
+
+
+def chunk_of(line):
+    """What one `_write_lines` chunk of lines as long as `line` holds: the
+    lines (8-byte rounded strings) with their newlines in the join, and the
+    list that holds them."""
+    held = -(-sys.getsizeof(line) // 8) * 8
+    return _CHUNK_LINES * (held + len(line) + 1) + sys.getsizeof([*range(_CHUNK_LINES + 1)])
+
+
 def test_cli_words_all_holds_one_chunk_of_its_output(tmp_path):
     """`words --all` on 8 commuting letters traces no more than writing
     each line as it is made, plus one chunk: its lines (8-byte rounded
@@ -489,32 +514,34 @@ def test_cli_words_all_holds_one_chunk_of_its_output(tmp_path):
         for letters in peeling_orders(T):
             sys.stdout.write(",".join(map(str, letters)) + "\n")
 
-    def peak(call):
-        """The least traced peak of three calls, after one untraced call,
-        so that lazy imports and one-off allocator states are not counted."""
-        peaks = []
-        with redirect_stdout(NullOut()):
-            call()
-            for _ in range(3):
-                tracemalloc.start()
-                try:
-                    call()
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
-        return min(peaks)
-
-    reference = peak(line_by_line)
-    streamed = peak(lambda: main(argv))
+    reference = least_peak(line_by_line)
+    streamed = least_peak(lambda: main(argv))
     longest = "1,3,5,7,9,11,13,15"
     held = -(-sys.getsizeof(longest) // 8) * 8
-    chunk = (
-        _CHUNK_LINES * (held + len(longest) + 1)
-        + sys.getsizeof([*range(_CHUNK_LINES + 1)])
-        + sys.getsizeof("")
-        + 8 * held
-    )
+    chunk = chunk_of(longest) + sys.getsizeof("") + 8 * held
     assert streamed <= reference + 1.1 * chunk
+
+
+def test_cli_poset_holds_one_chunk_of_its_cover_lines():
+    """`poset 7463512` traces no more than writing each of its 6,706 cover
+    lines as it is made, plus one chunk of them; joined, they would be
+    about 214 kB.  A tenth more is allowed, as for `words --all`."""
+    argv = ["poset", "7463512"]
+
+    def line_by_line():
+        parser = _build_parser()  # alive throughout, as in `main`
+        p = elnitsky.zonotopal.poset(parse_permutation(parser.parse_args(argv).w))
+        d = p.digests
+        above = [[] for _ in d]
+        for i, j in p.cover_indices:
+            above[i].append(d[j])
+        for lo, ups in zip(d, above):
+            for up in ups:
+                sys.stdout.write(f"cover {lo} {up}\n")
+
+    reference = least_peak(line_by_line)
+    streamed = least_peak(lambda: main(argv))
+    assert streamed <= reference + 1.1 * chunk_of(f"cover {'0' * 12} {'0' * 12}")
 
 
 def test_cli_refuses_a_tile_listed_twice(tmp_path, capsys):

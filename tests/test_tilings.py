@@ -41,7 +41,6 @@ from elnitsky import (
 )
 from elnitsky.tilings import (
     _block_graph,
-    _walk,
     canonical_lines,
     polygon_vertices,
     prefix_sets,
@@ -49,11 +48,14 @@ from elnitsky.tilings import (
 
 from helpers import (
     canonical_json_by_dumps,
+    class_size_by_growth,
     inversions_by_pairs,
     peel_order_by_search,
     peeling_orders_by_search,
+    reduced_words_by_descents,
     sample_permutations,
     some_reduced_word,
+    staircase_words_by_hooks,
     symmetric_group,
     tilings_by_canonical_growth,
     unpeelable_pairs_tiling,
@@ -230,9 +232,17 @@ def test_the_merge_grows_each_tiling_once(w, zonotopal):
     fits = [0] * (w.n + 1)
     for a, b in inversions(w):
         fits[a] |= 1 << b
-    tiles = []
-    root = _block_graph(w.values, 0, fits, w.n if zonotopal else 2, tiles, [])
-    tile_sets = [frozenset(map(tiles.__getitem__, path)) for path in _walk(root)]
+    root = _block_graph(w.values, 0, fits, w.n if zonotopal else 2, [], [])
+
+    def paths(node):
+        """Each path's tiles; a move's label holds its tile."""
+        if not node:
+            yield frozenset()
+        for (tile,), after in node:
+            for rest in paths(after):
+                yield rest | {tile}
+
+    tile_sets = list(paths(root))
     enumerate_tilings = enumerate_zonotopal if zonotopal else enumerate_rhombic
     assert len(tile_sets) == len(set(tile_sets)) == len(enumerate_tilings(w))
     assert set(tile_sets) == {T.tiles for T in enumerate_tilings(w)}
@@ -659,6 +669,10 @@ def test_to_json_matches_json_dumps_on_s1_to_s5():
     "w, zonotopal",
     [
         ("3,2,1,4,5,6,7,8,12,11,10,9", False),
+        # one block, of values 298..300, above what a byte holds
+        (",".join(map(str, [*range(1, 298), 300, 299, 298])), False),
+        # three blocks split by pinch vertices, and tiles of 2 and 3 labels
+        ("3,2,1,6,5,4,8,7", True),
         ("7463512", False),
         ("7463512", True),
         ("7456312", False),
@@ -691,6 +705,30 @@ def test_zonotopal_canonical_lines_at_the_length_guard_within_memory():
     of the enumerated tilings traces about 111 MB."""
     w = Permutation.from_string("7654312")
     assert traced_peak(canonical_lines, w, True) < 70_000_000
+
+
+def class_sizes(w):
+    """The commutation class size of each rhombic tiling of E(w), counted
+    by growth from its tiles as `canonical_lines` writes them."""
+    for line in canonical_lines(w):
+        tiles = {(tuple(t["pair"]), frozenset(t["base"])) for t in json.loads(line)["tiles"]}
+        yield class_size_by_growth(w, tiles)
+
+
+@pytest.mark.parametrize("n, words", [(5, 768), (6, 292_864)])
+def test_class_sizes_of_w0_sum_to_the_hook_length_count(n, words):
+    """The rhombic tilings of E(w) are the commutation classes of w, so their
+    class sizes sum to R(w), here R(w0(n)) by the hook-length formula."""
+    assert staircase_words_by_hooks(n) == words
+    assert sum(class_sizes(Permutation.longest(n))) == words
+
+
+@pytest.mark.long
+def test_class_sizes_at_the_length_guard_sum_to_the_descent_count():
+    """As above at 7654312, whose R(w) the descent recursion gives."""
+    w = Permutation.from_string("7654312")
+    assert reduced_words_by_descents(w) == 141_892_608
+    assert sum(class_sizes(w)) == 141_892_608
 
 
 def test_to_json_matches_json_dumps_with_two_digit_labels():
