@@ -17,14 +17,16 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bott_samelson": (
         "DARK", "LIGHT", "Coloring", "FixedPoint", "QPolynomial",
-        "all_colorings", "fixed_point_images", "image_permutation", "poincare",
-        "q_factorial", "realize_fixed_point", "stratum_dimension",
+        "all_colorings", "fixed_point_image_count", "fixed_point_images",
+        "image_permutation", "poincare", "q_factorial", "realize_fixed_point",
+        "stratum_dimension",
     ),
     "errors": ("LENGTH_GUARD", "ZONO_RANK_GUARD", "GuardExceeded", "NotReducedError"),
     "flips": (
         "INTERIOR_AC", "INTERIOR_B", "FlipGraph", "FlipSite", "apply_flip",
         "coarsen_flip", "flip_graph", "flip_sites", "is_connected", "to_dot",
     ),
+    "growth": (),
     "io_cli": (
         "PolygonGeometry", "RenderSpec", "main", "parse_permutation",
         "parse_tiling", "parse_word", "render_svg", "vertex_position",

@@ -4,9 +4,13 @@ A tiling with t_k tiles of 2k sides has Poincare polynomial
 prod_k [k]_q!^{t_k}, where [i]_q = 1 + q + ... + q^{i-1}.  For a rhombic
 tiling this is (1+q)^{l(w)}; its 2^{l(w)} light/dark colorings index
 torus-fixed points, and a sweep over distinct boundary flags finds their
-images, the Bruhat interval [e, w], in about l(w) |[e, w]| steps.  A fixed
-point is realized one rhombus at a time, in growth order, and each rhombus's
-four vertices are read off its `corners()`, the one tile geometry.
+images, the Bruhat interval [e, w], in about l(w) |[e, w]| steps.  Its
+merge keeps one state per flag that some colorings reach, and its lift
+swaps a flag only at an ascent, since a descent leads back into the
+interval already found (see `_image_flags`).  `fixed_point_image_count`
+counts the images without building a `Permutation`.  A fixed point is
+realized one rhombus at a time, in growth order, and each rhombus's four
+vertices are read off its `corners()`, the one tile geometry.
 """
 from __future__ import annotations
 
@@ -36,6 +40,7 @@ __all__ = [
     "realize_fixed_point",
     "image_permutation",
     "fixed_point_images",
+    "fixed_point_image_count",
     "stratum_dimension",
     "all_colorings",
 ]
@@ -264,16 +269,35 @@ def _image_from(assignment, w: Permutation) -> Permutation:
 
 def fixed_point_images(T: RhombicTiling) -> frozenset[Permutation]:
     """Images of all 2^{l(w)} colorings: the Bruhat interval below w.
+    Each flag of `_image_flags` is a permutation by construction, swaps of
+    the identity, so it is made by `Permutation._make`, without the check."""
+    return frozenset(map(Permutation._make, _image_flags(T)))
+
+
+def fixed_point_image_count(T: RhombicTiling) -> int:
+    """The number of images of T's colorings, |[e, w]|, with no
+    `Permutation` built."""
+    return len(_image_flags(T))
+
+
+def _image_flags(T: RhombicTiling) -> set[tuple[int, ...]]:
+    """The images of all 2^{l(w)} colorings of T, as one-line tuples.
 
     `_propagate` reads only the boundary around each tile, whose index sets
     form a flag: a permutation v, the identity first and the image last.  A
     light tile at letter j keeps v; a dark one, P | (Q - M), swaps v(j) and
-    v(j+1).  So the sweep keeps distinct flags only: states |= {v s_j}.
-    Each state is a permutation by construction, swaps of the identity, so
-    it is made by `Permutation._make`, without the check."""
+    v(j+1).  So the sweep, letter by letter along T's least word, merges
+    the colorings that reach one flag and keeps distinct flags only:
+    states |= {v s_j}.
+
+    Only the flags with an ascent at j are swapped.  After a prefix of the
+    word, the states are the products of its subwords; the prefix is
+    reduced, so by the subword property they are the Bruhat interval
+    [e, u] below its product u, a down-set.  If v(j) > v(j+1), then
+    v s_j < v <= u, so v s_j is a state already: only ascents lift."""
     check_length_guard(len(T.tiles), "fixed-point sweep")
     states = {tuple(range(1, T.n + 1))}
     for letter in tiling_to_word(T):
         i = letter - 1
-        states |= {v[:i] + (v[i + 1], v[i]) + v[i + 2 :] for v in states}
-    return frozenset(map(Permutation._make, states))
+        states |= {v[:i] + (v[i + 1], v[i]) + v[i + 2 :] for v in states if v[i] < v[i + 1]}
+    return states

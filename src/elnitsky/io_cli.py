@@ -6,12 +6,16 @@ angle pi - (2i-1)pi/(2n), so the left boundary of E(w) traces half of a
 regular 2n-gon counterclockwise and every vertex label set S sits at the
 sum of its members' directions.
 
-Every subcommand is a fresh process, so each loads only what it runs.
-This module imports `errors`, `permutations` and `tilings`, which parsing
-and every subcommand need; a `_cmd_*` function imports any other module
-it calls (`flips`, `zonotopal` or `bott_samelson`) when it runs, and
-`json` loads only to parse a tiling or print `poincare`.  No module of the
-package uses `dataclasses`, which would load `inspect` and `ast` too.
+Every subcommand is a fresh process, so each loads and computes only
+what it prints.  This module imports `errors`, `permutations` and
+`tilings`, which parsing and every subcommand need; a `_cmd_*` function
+imports any other module it calls (`flips`, `zonotopal` or
+`bott_samelson`) when it runs, and the growth engine, `growth`, loads
+only with `enumerate`, `flipgraph` or `poset`, once the guards pass.
+`json` loads only to parse a tiling or print `poincare`, and
+`fixedpoints` builds no `Permutation` unless `--images` lists them.  No
+module of the package uses `dataclasses`, which would load `inspect` and
+`ast` too.
 `enumerate`, `flipgraph`, `words --all` and `poset`'s cover lines are
 written through one writer, `_write_lines`, a chunk of lines per write:
 few system calls even on unbuffered stdout, and never the whole output
@@ -333,15 +337,17 @@ def _cmd_poincare(args) -> None:
 
 
 def _cmd_fixedpoints(args) -> None:
-    from .bott_samelson import fixed_point_images
+    from .bott_samelson import fixed_point_image_count, fixed_point_images
 
     T = to_rhombic(parse_tiling(_read_input(args.tiling)))
-    images = fixed_point_images(T)
     print(f"fixed_points {2 ** len(T.tiles)}")
+    if not args.images:
+        print(f"images {fixed_point_image_count(T)}")
+        return
+    images = sorted(fixed_point_images(T), key=lambda v: v.values)
     print(f"images {len(images)}")
-    if args.images:
-        for v in sorted(images, key=lambda v: v.values):
-            print(v.to_string())
+    for v in images:
+        print(v.to_string())
 
 
 def _cmd_render(args) -> None:

@@ -2,21 +2,23 @@
 
 A tile carries k >= 2 labels; its shape is the centrally symmetric 2k-gon
 swept by those k edge directions, and a rhombus is the k = 2 case.  The
-tile model, the growth engine, the validator and the conversions to and
-from rhombic tilings live in `tilings`, shared with rhombic tilings; this
-module adds the coarsening order and refinement.  The tilings of E(w) by
-such tiles form a poset under reverse edge inclusion (more edges = finer =
-smaller), whose minimal elements are exactly the rhombic tilings.  The
-order is computed tile-wise, from tile bases and tops only: Z <= Y iff Z
-`_fills` every tile of Y, which is reverse edge inclusion by the argument
-in `ZonoPoset`.  Below Y each tile is refined on its own, by a tiling of
-E(w0(k)) carried in by `_relabel`: the rhombic ones give `refinements` and
-the coatoms the covers, both from one cached entry per k (`_coatoms`).
+tile model, the validator and the conversions to and from rhombic
+tilings live in `tilings`, and the growth engine in `growth`, shared with
+rhombic tilings; this module adds the coarsening order and refinement.
+The tilings of E(w) by such tiles form a poset under reverse edge
+inclusion (more edges = finer = smaller), whose minimal elements are
+exactly the rhombic tilings.  The order is computed tile-wise, from tile
+bases and tops only: Z <= Y iff Z `_fills` every tile of Y, which is
+reverse edge inclusion by the argument in `ZonoPoset`.  Below Y each tile
+is refined on its own, by a tiling of E(w0(k)) carried in by `_relabel`:
+the rhombic ones give `refinements` and the coatoms the covers, both from
+one cached entry per k (`_coatoms`), which keeps each coatom's label and
+base positions too, so a cover rule looks its tiles up with none built.
 Everything here reads E(w) off the key-ranked tile table of
-`tilings._canonical_paths`, as int masks, never through the cached
+`growth._canonical_paths`, as int masks, never through the cached
 enumerations: `poset` off its digest-sorted form, which `flips.flip_graph`
 shares (covers are found on the masks by the flips' scan,
-`tilings._replaced`, and no tiling is built until `elements` is read), and
+`growth._replaced`, and no tiling is built until `elements` is read), and
 `minimal_upper_bounds` walking only the moves of tiles both tilings fill,
 so it meets and builds only the common coarsenings.
 """
@@ -26,16 +28,9 @@ from functools import cached_property, lru_cache, reduce
 from itertools import product
 from math import comb
 
+from .growth import _canonical_paths, _digest_table, _replaced, _tiles_of
 from .permutations import Permutation, Record
-from .tilings import (
-    RhombicTiling,
-    ZonoTile,
-    ZonoTiling,
-    _canonical_paths,
-    _digest_table,
-    _replaced,
-    _tiles_of,
-)
+from .tilings import RhombicTiling, ZonoTile, ZonoTiling, _guard
 
 __all__ = [
     "ZonoPoset",
@@ -96,7 +91,7 @@ class ZonoPoset(Record):
     labels by `_relabel(C, t)`, for each coatom C of E(w0(k)): a tiling
     that the single 2k-gon covers.  On masks, the lower covers of m at the
     bit b of such a tile are `m ^ b | c`, one for each relabelled coatom's
-    mask c: one rule of `tilings._replaced` per tile (see `_cover_pairs`).
+    mask c: one rule of `growth._replaced` per tile (see `_cover_pairs`).
     """
 
     w: Permutation
@@ -133,37 +128,52 @@ def _cover_pairs(masks, tiles):
     tile table `tiles`, one per cover (see `ZonoPoset`); every lower cover
     of a mask must be among them.  Each held tile of k >= 3 labels is a
     rule of `_replaced`, its bit swapped for each relabelled coatom mask;
-    no mask of `_coatoms(k)` holds the 2k-gon, so it never asks for itself."""
+    no mask of `_coatoms(k)` holds the 2k-gon, so it never asks for itself.
+    A coatom's tiles are relabelled by its positions in `_coatoms(k)`, into
+    plain (labels, base) pairs that find their bits with no tile built."""
     held = reduce(int.__or__, masks, 0)
-    rank = {t: r for r, t in enumerate(tiles)}
+    bit = {t: 1 << r for r, t in enumerate(tiles)}
     rules = {}
-    for r, t in enumerate(tiles):
-        if t.size >= 3 and held >> r & 1:
-            news = [sum(1 << rank[x] for x in _relabel(C, t)) for C in _coatoms(t.size)[0]]
-            rules[1 << r] = [(1 << r, news)]
+    for t, b in bit.items():
+        if t.size >= 3 and held & b:
+            at = t.labels.__getitem__
+            news = [
+                sum(bit[tuple(map(at, x)), t.base.union(map(at, y))] for x, y in C)
+                for C in _coatoms(t.size)[2]
+            ]
+            rules[b] = [(b, news)]
     return _replaced(masks, rules)
 
 
 @lru_cache(maxsize=8)
-def _coatoms(k: int) -> tuple[tuple, tuple]:
-    """The tilings of E(w0(k)) that the single 2k-gon covers, and its rhombic
-    tilings (of C(k, 2) tiles), as tile sets off one key-ranked tile table.
+def _coatoms(k: int) -> tuple[tuple, tuple, tuple]:
+    """The tilings of E(w0(k)) that the single 2k-gon covers, its rhombic
+    tilings (of C(k, 2) tiles), both as tile sets off one key-ranked tile
+    table, and the coatoms again, in that order, as positions: each tile as
+    the tuples of the 0-based positions of its labels and of its base
+    among 1..k, which index the labels of the tile it is renamed into.
     The coatoms are the masks of two or more tiles that no other such mask
     covers, since a chain up to one starts with a cover.  Their tiles have
     fewer than k labels, so their rules need only smaller tables, down to
     k = 2, one rhombus with no coatom.  The length guard keeps k <= 6."""
-    tiles, _, paths = _canonical_paths(Permutation.longest(k), zonotopal=True)
+    w0 = Permutation.longest(k)
+    tiles, _, paths = _canonical_paths(w0, *_guard(w0, zonotopal=True))
     masks = [mask for mask, _ in paths()]
     multi = [m for m in masks if m & m - 1]
     below = {i for i, _ in _cover_pairs(multi, tiles)}
     coatoms = tuple(_tiles_of(m, tiles) for i, m in enumerate(multi) if i not in below)
-    return coatoms, tuple(_tiles_of(m, tiles) for m in masks if m.bit_count() == comb(k, 2))
+    positions = tuple(
+        tuple((tuple(a - 1 for a in labels), tuple(x - 1 for x in base)) for labels, base in C)
+        for C in coatoms
+    )
+    rhombic = tuple(_tiles_of(m, tiles) for m in masks if m.bit_count() == comb(k, 2))
+    return coatoms, rhombic, positions
 
 
 def poset(w: Permutation) -> ZonoPoset:
     """The zonotopal tilings of E(w), each digested from the canonical JSON
     line its growth path writes, with no tiling built."""
-    return ZonoPoset(w, *_digest_table(w, zonotopal=True))
+    return ZonoPoset(w, *_digest_table(w, *_guard(w, zonotopal=True)))
 
 
 def maximal_elements(p: ZonoPoset) -> frozenset[ZonoTiling]:
@@ -194,7 +204,7 @@ def minimal_upper_bounds(Z1: ZonoTiling, Z2: ZonoTiling) -> frozenset[ZonoTiling
     `_canonical_paths` takes only moves whose tiles Z1 and Z2 both fill, and
     the paths it ends, the common coarsenings, alone are built and compared."""
     _same_polygon(Z1, Z2)
-    tiles, _, paths = _canonical_paths(Z1.w, zonotopal=True)
+    tiles, _, paths = _canonical_paths(Z1.w, *_guard(Z1.w, zonotopal=True))
     filled = sum(1 << r for r, t in enumerate(tiles) if _fills(Z1, t) and _fills(Z2, t))
     bounds = [ZonoTiling(Z1.w, _tiles_of(mask, tiles)) for mask, _ in paths(~filled)]
     return frozenset(

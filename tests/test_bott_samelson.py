@@ -18,6 +18,7 @@ from elnitsky import (
     bruhat_leq,
     coarsen_flip,
     enumerate_rhombic,
+    fixed_point_image_count,
     fixed_point_images,
     flip_sites,
     image_permutation,
@@ -176,6 +177,8 @@ def test_guards_on_large_tilings():
         next(all_colorings(big))
     with pytest.raises(GuardExceeded):
         fixed_point_images(big)
+    with pytest.raises(GuardExceeded):
+        fixed_point_image_count(big)
 
 
 def test_fixed_point_on_the_single_tile():
@@ -293,6 +296,7 @@ def test_images_match_the_per_coloring_replay_on_s1_to_s5():
                 if n <= 4:
                     assert replay == {image_permutation(T, c) for c in all_colorings(T)}
                 assert fixed_point_images(T) == replay
+                assert fixed_point_image_count(T) == len(replay)
                 checked += 1
     assert checked == 529
 
@@ -330,5 +334,5 @@ def test_images_at_the_length_guard_edge():
     start = time.perf_counter()
     images = fixed_point_images(T)
     assert time.perf_counter() - start < 2
-    assert len(images) == 4320
+    assert len(images) == fixed_point_image_count(T) == 4320
     assert images == bruhat_interval(w)

@@ -800,7 +800,9 @@ def count_line_digests(monkeypatch):
         lines.append(line)
         return digest_line(line)
 
-    for module in (elnitsky.tilings, elnitsky.flips, elnitsky.zonotopal, elnitsky.io_cli):
+    for module in (
+        elnitsky.tilings, elnitsky.growth, elnitsky.flips, elnitsky.zonotopal, elnitsky.io_cli
+    ):
         monkeypatch.setattr(module, "_line_digest", counted, raising=False)
     return lines
 
@@ -826,7 +828,10 @@ def test_cli_poset_digests_each_tiling_once(capsys, monkeypatch):
         write = json_writer(*args)
         return lambda tails: written.append(1) or write(tails)
 
-    monkeypatch.setattr(elnitsky.tilings, "_json_writer", counted_writer)
+    # the writer is called where a tiling's line is written: `to_json` and
+    # the growth walk
+    for module in (elnitsky.tilings, elnitsky.growth):
+        monkeypatch.setattr(module, "_json_writer", counted_writer)
     code, _, _ = run(capsys, "poset", "54321")
     assert code == 0
     assert len(lines) == len(set(lines)) == 203
@@ -934,6 +939,42 @@ def test_cli_fixedpoints(tmp_path, capsys):
     assert lines[2:] == ["123", "132", "213", "231", "312", "321"]
 
 
+# a word of the peeling benchmark's class sizes, which grows a tiling of 7456312
+SEEDED_7456312 = "3,2,1,3,2,4,6,5,3,2,4,6,3,2,1,5,4"
+# stdout of `fixedpoints` without --images, and the SHA-256 of its stdout
+# with --images, on the l = 20 tiling and on the tiling SEEDED_7456312 grows
+FIXEDPOINTS_STDOUT = {
+    "l20": (
+        "fixed_points 1048576\nimages 4320\n",
+        "752040b79e27dee8db76baee6ea991fcec7fb1fdfc694fb2c0f8c2ba792451f1",
+    ),
+    "7456312": (
+        "fixed_points 131072\nimages 3432\n",
+        "3f2ced507aa38e30e68b35884f631e91c85ccf725f492a09eed2d0389273368e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXEDPOINTS_STDOUT))
+def test_cli_fixedpoints_output_is_pinned(tmp_path, capsys, monkeypatch, name):
+    """The count alone, with no image built, and the listed images, which
+    are as many, both unchanged."""
+    path = L20_TILING
+    if name == "7456312":
+        code, out, _ = run(capsys, "tile", SEEDED_7456312, "--n", "7")
+        assert code == 0
+        path = tmp_path / "t.json"
+        path.write_text(out)
+    counted, listed = FIXEDPOINTS_STDOUT[name]
+    with monkeypatch.context() as patch:
+        patch.setattr(elnitsky.bott_samelson, "fixed_point_images", None)
+        assert run(capsys, "fixedpoints", str(path)) == (0, counted, "")
+    code, out, err = run(capsys, "fixedpoints", str(path), "--images")
+    assert (code, err) == (0, "")
+    assert out.startswith(counted)
+    assert hashlib.sha256(out.encode()).hexdigest() == listed
+
+
 def test_cli_render(tmp_path, capsys):
     src = tmp_path / "t.json"
     src.write_text(T121_JSON)
@@ -982,16 +1023,26 @@ BASE_MODULES = {"errors", "permutations", "tilings", "io_cli"}
 # the modules each subcommand loads beyond BASE_MODULES; {t} is a tiling file
 SUBCOMMAND_MODULES = {
     "tile 1": set(),
-    "enumerate 321": set(),
-    "enumerate 321 --zonotopal": set(),
+    "enumerate 321": {"growth"},
+    "enumerate 321 --zonotopal": {"growth"},
+    "enumerate 87654321": set(),
+    "enumerate 87654321 --zonotopal": set(),
     "words {t}": set(),
     "words {t} --all": set(),
     "render {t}": set(),
     "render {t} --coloring 101": {"bott_samelson"},
-    "flipgraph 321": {"flips"},
-    "poset 321": {"zonotopal"},
+    "flipgraph 321": {"flips", "growth"},
+    "poset 321": {"zonotopal", "growth"},
     "poincare {t}": {"bott_samelson"},
     "fixedpoints {t}": {"bott_samelson"},
+}
+# the subcommands above that are refused, with their stderr: the guard
+# refuses before the growth engine loads
+REFUSED = {
+    "enumerate 87654321":
+        "error: rhombic tiling enumeration refused: length 28 exceeds the guard 20\n",
+    "enumerate 87654321 --zonotopal":
+        "error: zonotopal tiling enumeration refused: length 28 exceeds the guard 20\n",
 }
 # standard-library modules whose loading the test below checks
 WATCHED = ("dataclasses", "hashlib", "inspect", "json")
@@ -1027,9 +1078,8 @@ def test_cli_subcommand_loads_only_the_modules_it_runs(tmp_path, argv):
         [sys.executable, "-c", LOADED_MODULES, SRC, *argv.format(t=path).split()],
         capture_output=True, text=True,
     )
-    assert proc.stderr == ""
     code, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert code == 0
+    assert (code, proc.stderr) == ((2, REFUSED[argv]) if argv in REFUSED else (0, ""))
     modules = BASE_MODULES | SUBCOMMAND_MODULES[argv]
     watched = set(loaded).intersection(WATCHED)
     assert set(loaded) - watched == {f"elnitsky.{m}" for m in modules}

@@ -21,7 +21,8 @@ EXPORTED = [
     "apply_flip", "apply_simple", "bruhat_leq", "coarsen_flip",
     "commutation_class_of", "commutation_classes", "commutation_equivalent",
     "contains_pattern", "enumerate_rhombic", "enumerate_zonotopal",
-    "evaluate", "fixed_point_images", "flip_graph", "flip_sites",
+    "evaluate", "fixed_point_image_count", "fixed_point_images", "flip_graph",
+    "flip_sites",
     "from_rhombic", "has_unique_max", "image_permutation", "inversions",
     "is_connected", "main", "maximal_elements", "minimal_elements",
     "minimal_upper_bounds", "parse_permutation", "parse_tiling", "parse_word",
@@ -35,7 +36,7 @@ SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(elnitsky.__path__
 
 
 def test_all_is_the_pinned_list():
-    assert len(EXPORTED) == 70
+    assert len(EXPORTED) == 71
     assert sorted(elnitsky.__all__) == EXPORTED
 
 

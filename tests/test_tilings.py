@@ -26,6 +26,7 @@ from elnitsky import (
     commutation_classes,
     enumerate_rhombic,
     enumerate_zonotopal,
+    fixed_point_image_count,
     fixed_point_images,
     inversions,
     parse_tiling,
@@ -39,12 +40,8 @@ from elnitsky import (
     vertices_of,
     word_to_tiling,
 )
-from elnitsky.tilings import (
-    _block_graph,
-    canonical_lines,
-    polygon_vertices,
-    prefix_sets,
-)
+from elnitsky.growth import _block_graph
+from elnitsky.tilings import canonical_lines, polygon_vertices, prefix_sets
 
 from helpers import (
     canonical_json_by_dumps,
@@ -501,6 +498,7 @@ def test_word_functions_refuse_tiles_larger_than_a_rhombus():
         all_words,
         peeling_orders,
         fixed_point_images,
+        fixed_point_image_count,
         lambda T: realize_fixed_point(T, Coloring.all_light(T)),
     ]
     for refuse in refusals:
@@ -723,7 +721,6 @@ def test_class_sizes_of_w0_sum_to_the_hook_length_count(n, words):
     assert sum(class_sizes(Permutation.longest(n))) == words
 
 
-@pytest.mark.long
 def test_class_sizes_at_the_length_guard_sum_to_the_descent_count():
     """As above at 7654312, whose R(w) the descent recursion gives."""
     w = Permutation.from_string("7654312")

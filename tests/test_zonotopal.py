@@ -206,8 +206,9 @@ def test_local_covers_match_the_pairwise_order_on_s1_to_s5():
         for w in symmetric_group(n):
             p = poset(w)
             assert local_order(p) == coarsening_order_by_pairs(p)
-            uppers = [j for _, j in p.cover_indices]
-            assert uppers == sorted(uppers)
+            # by upper, then the replaced tile's place in the key-sorted table
+            replaced = [(j, p.masks[j] & ~p.masks[i]) for i, j in p.cover_indices]
+            assert replaced == sorted(replaced)
             assert len(set(p.cover_indices)) == len(p.cover_indices)
 
 
@@ -223,7 +224,8 @@ def test_poset_digests_are_its_elements_digests_on_s1_to_s5():
 
 
 def test_coatom_tables():
-    """Each per-k entry holds the coatoms and the rhombic tilings of E(w0(k))."""
+    """Each per-k entry holds the coatoms and the rhombic tilings of E(w0(k)),
+    and the coatoms again as the positions of their labels and bases."""
     assert [len(_coatoms(k)[0]) for k in range(2, 7)] == [0, 2, 8, 40, 324]
     assert [len(_coatoms(k)[1]) for k in range(2, 7)] == [1, 2, 8, 62, 908]
     for k in range(3, 6):
@@ -233,8 +235,12 @@ def test_coatom_tables():
         (tile,) = top.tiles
         covers, _, _ = coarsening_order_by_pairs(p)
         below = {lo.tiles for lo, hi in covers if hi == top}
-        coatoms, rhombic = _coatoms(k)
+        coatoms, rhombic, positions = _coatoms(k)
         assert {_relabel(C, tile) for C in coatoms} == below
+        assert [
+            {(tuple(a + 1 for a in x), frozenset(b + 1 for b in y)) for x, y in C}
+            for C in positions
+        ] == list(coatoms)
         assert set(rhombic) == {T.tiles for T in enumerate_rhombic(w0)}
 
 
