@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .growth import _digest_table, _replaced, _tiles_of
 from .permutations import Permutation, Record
-from .tilings import LabelSet, RhombicTiling, ZonoTile, ZonoTiling, _guard
+from .tilings import LabelSet, RhombicTiling, ZonoTile, ZonoTiling
+from .tilings import _digest_table, _replaced, _tiles_of
 
 __all__ = [
     "INTERIOR_B",
@@ -178,7 +178,7 @@ def flip_graph(w: Permutation) -> FlipGraph:
     """The flip graph of E(w), on the masks of its digest-sorted tile table.
 
     `_hexagons` runs once, on the table.  Each interior-b hexagon whose
-    interior-ac rhombi are there too is a rule of `growth._replaced` on its
+    interior-ac rhombi are there too is a rule of `tilings._replaced` on its
     {a, c} diagonal: a tiling m holding its rhombi b flips to m ^ b | ac.
 
     Every arc is found once.  Two tilings one flip apart differ exactly over
@@ -187,7 +187,7 @@ def flip_graph(w: Permutation) -> FlipGraph:
     first tiling when only interior-b hexagons are flipped, and from no other
     tiling or hexagon.
     """
-    digests, masks, tiles = _digest_table(w, *_guard(w, zonotopal=False))
+    digests, masks, tiles = _digest_table(w, zonotopal=False)
     bit = {t: 1 << r for r, t in enumerate(tiles)}
     rules = {}
     for (a, b, c), base in _hexagons(bit, INTERIOR_B):

@@ -19,27 +19,22 @@ every slot and the walk never undoes a write; a path's line is its slots
 joined by `tilings._json_writer`, and its mask over the key-sorted tile
 table the OR of its tiles' bits.  The walk follows each run of nodes
 with one move without stacking them.  Only `tilings.canonical_lines`,
-which sorts the lines, and `_digest_table`, which digests them into the
-one digest-sorted E(w) whose flips and covers `_replaced` finds in one
-scan, write lines; `zonotopal` reads masks alone.
+which sorts the lines, and `tilings._digest_table`, which digests them,
+write lines; `zonotopal` reads masks alone.
 
-No entry here guards: each takes the largest tile and the tiling class
-that `tilings._guard` returns once E(w) passes its guards.  `flips` and
-`zonotopal` import this module; `tilings` imports it inside its
-enumerations, after the guard, so a process that refuses or enumerates
-nothing never compiles it.
+No entry here guards.  The one way in is `tilings._table`, which runs
+E(w)'s guards and only then imports this module, so a process that
+refuses or enumerates nothing never compiles it.
 """
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from itertools import combinations
-from operator import itemgetter
 
 from .permutations import Permutation, inversions
-from .tilings import ZonoTile, ZonoTiling, _json_writer, _line_digest
+from .tilings import ZonoTile, ZonoTiling, _json_writer
 
-# no public names: callers reach the engine through `tilings`, `flips` and
-# `zonotopal`
+# no public names: callers reach the engine through `tilings._table`
 __all__: list[str] = []
 
 
@@ -53,7 +48,7 @@ def _canonical_paths(
     slots of JSON text, one per inversion pair in lex order (see above).
 
     The tiles have at most `max_run` labels and the lines are spelled as
-    `tiling_type`'s, both as `tilings._guard` gives them.  Each tile's label
+    `tiling_type`'s, both as `tilings._table` gives them.  Each tile's label
     in the graph is rewritten once, in place, to its bit and its writes,
     (slot, text) pairs: its `json_tail` into its leading pair's slot and ""
     into its other pairs'.  `slots` is the walk's one list, to be read
@@ -133,52 +128,6 @@ def _without(node: list, banned: int, memo: dict) -> list | None:
                     out.append((label, after))
         out = memo[id(node)] = out or None
     return out
-
-
-def _digest_table(
-    w: Permutation, max_run: int, tiling_type: type[ZonoTiling]
-) -> tuple[tuple, tuple, tuple]:
-    """The tilings of E(w) of `_canonical_paths`, each line hashed once and
-    no tiling built: their digests, sorted, their masks over the tile table
-    in that order, and the table."""
-    tiles, write, paths = _canonical_paths(w, max_run, tiling_type)
-    rows = [(_line_digest(write(slots)), mask) for mask, slots in paths()]
-    digests, masks = zip(*sorted(rows, key=itemgetter(0)))
-    return digests, masks, tuple(tiles)
-
-
-def _replaced(masks, rules) -> Iterator[tuple[int, int]]:
-    """(i, j), by j, for each rule that fires in `masks[j]` = m, visiting
-    only m's trigger bits: `rules` maps a trigger tile's bit to (patch, news)
-    mask pairs, and m holding the patch too has `masks[i]` = m ^ patch | c."""
-    index = {m: i for i, m in enumerate(masks)}
-    triggers = sum(rules)
-    for j, m in enumerate(masks):
-        rest = m & triggers
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            for patch, news in rules[low]:
-                if m & patch == patch:
-                    for c in news:
-                        yield index[m ^ patch | c], j
-
-
-def _tiles_of(mask: int, tiles) -> frozenset[ZonoTile]:
-    """The tiles whose bits `mask` sets."""
-    out = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out.append(tiles[low.bit_length() - 1])
-    return frozenset(out)
-
-
-def _grow(w: Permutation, max_run: int, tiling_type: type[ZonoTiling]) -> frozenset:
-    """The tilings of E(w) of `_canonical_paths`: each path, its mask's
-    tiles looked up, as one `tiling_type`."""
-    tiles, _, paths = _canonical_paths(w, max_run, tiling_type)
-    return frozenset(tiling_type(w, _tiles_of(mask, tiles)) for mask, _ in paths())
 
 
 def _growth_graph(w: Permutation, max_run: int) -> tuple[list[list], list]:

@@ -10,8 +10,8 @@ Every subcommand is a fresh process, so each loads and computes only
 what it prints.  This module imports `errors`, `permutations` and
 `tilings`, which parsing and every subcommand need; a `_cmd_*` function
 imports any other module it calls (`flips`, `zonotopal` or
-`bott_samelson`) when it runs, and the growth engine, `growth`, loads
-only with `enumerate`, `flipgraph` or `poset`, once the guards pass.
+`bott_samelson`) when it runs, and `tilings` loads the growth engine,
+`growth`, only for `enumerate`, `flipgraph` or `poset`, past the guards.
 `json` loads only to parse a tiling or print `poincare`, and
 `fixedpoints` builds no `Permutation` unless `--images` lists them.  No
 module of the package uses `dataclasses`, which would load `inspect` and

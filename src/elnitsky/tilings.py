@@ -18,9 +18,8 @@ bijection with commutation classes of reduced words mechanical:
   one rhombus per letter;
 * enumeration grows every tiling at once, each by its one canonical
   placement order, as the paths of one graph of growth states: the
-  module `growth`, which `enumerate_rhombic`, `enumerate_zonotopal` and
-  `canonical_lines` import only once `_guard` passes, so that a refusal,
-  and every process that enumerates nothing, never compiles it;
+  module `growth`, reached only through `_table`, which imports it once
+  E(w)'s guards pass;
 * peeling a tiling reads letters back off the boundary u, one per tile
   that sits on it: whose base is the set of values before position
   len(base) and whose labels continue u there in increasing order.
@@ -46,8 +45,8 @@ one layout (`_json_writer`) joins those texts, byte for byte what
 `json.dumps` would write.  `to_json` sorts one tiling's tiles by key on
 each call.  `growth` writes each enumerated tiling's line straight off
 its path, with no sort per tiling; `zonotopal` and `flips` read E(w) off
-its masks, and no package code calls the cached `enumerate_*`, which
-build tilings.
+its masks, through `_table` and `_digest_table`, and no package code
+calls the cached `enumerate_*`, which build tilings.
 """
 from __future__ import annotations
 
@@ -447,19 +446,15 @@ def all_words(T: RhombicTiling) -> frozenset[Word]:
 @lru_cache(maxsize=256)
 def enumerate_rhombic(w: Permutation) -> frozenset[RhombicTiling]:
     """All rhombic tilings of E(w): boundary growth by runs of length 2."""
-    guarded = _guard(w, zonotopal=False)
-    from .growth import _grow
-
-    return _grow(w, *guarded)
+    tiles, _, paths = _table(w, zonotopal=False)
+    return frozenset(RhombicTiling(w, _tiles_of(mask, tiles)) for mask, _ in paths())
 
 
 @lru_cache(maxsize=256)
 def enumerate_zonotopal(w: Permutation) -> frozenset[ZonoTiling]:
     """All zonotopal tilings of E(w): boundary growth by runs of any length."""
-    guarded = _guard(w, zonotopal=True)
-    from .growth import _grow
-
-    return _grow(w, *guarded)
+    tiles, _, paths = _table(w, zonotopal=True)
+    return frozenset(ZonoTiling(w, _tiles_of(mask, tiles)) for mask, _ in paths())
 
 
 def canonical_lines(w: Permutation, zonotopal: bool = False) -> list[str]:
@@ -469,27 +464,63 @@ def canonical_lines(w: Permutation, zonotopal: bool = False) -> list[str]:
 
     Refuses as `enumerate_rhombic` (or `enumerate_zonotopal`) does.
     """
-    guarded = _guard(w, zonotopal)
-    from .growth import _canonical_paths
-
-    _, write, paths = _canonical_paths(w, *guarded)
+    _, write, paths = _table(w, zonotopal)
     return sorted([write(slots) for _, slots in paths()])
 
 
-def _guard(w: Permutation, zonotopal: bool) -> tuple[int, type[ZonoTiling]]:
-    """The largest tile and the tiling class of an enumeration of E(w),
-    once its guards pass: for zonotopal tilings the rank, then the length.
-    Raises GuardExceeded naming the guard that refused.  Every entry to
-    the `growth` engine calls it first and passes on what it returns."""
-    if not zonotopal:
-        check_length_guard(w.length(), "rhombic tiling enumeration")
-        return 2, RhombicTiling
-    if w.n > ZONO_RANK_GUARD:
+def _table(w: Permutation, zonotopal: bool) -> tuple[list, Callable, Callable]:
+    """The one way into the growth engine: `growth._canonical_paths` of the
+    rhombic (or zonotopal) tilings of E(w), imported only once E(w) passes
+    its guards, for zonotopal tilings the rank, then the length.  Raises
+    GuardExceeded naming the guard that refused."""
+    if zonotopal and w.n > ZONO_RANK_GUARD:
         raise GuardExceeded(
             f"zonotopal enumeration refused: rank {w.n} exceeds the guard {ZONO_RANK_GUARD}"
         )
-    check_length_guard(w.length(), "zonotopal tiling enumeration")
-    return w.n, ZonoTiling
+    kind = "zonotopal" if zonotopal else "rhombic"
+    check_length_guard(w.length(), f"{kind} tiling enumeration")
+    from .growth import _canonical_paths
+
+    if zonotopal:
+        return _canonical_paths(w, w.n, ZonoTiling)
+    return _canonical_paths(w, 2, RhombicTiling)
+
+
+def _digest_table(w: Permutation, zonotopal: bool) -> tuple[tuple, tuple, tuple]:
+    """The tilings of E(w) of `_table`, each line hashed once and no tiling
+    built: their digests, sorted, their masks over the tile table in that
+    order, and the table."""
+    tiles, write, paths = _table(w, zonotopal)
+    rows = [(_line_digest(write(slots)), mask) for mask, slots in paths()]
+    digests, masks = zip(*sorted(rows, key=itemgetter(0)))
+    return digests, masks, tuple(tiles)
+
+
+def _replaced(masks, rules) -> Iterator[tuple[int, int]]:
+    """(i, j), by j, for each rule that fires in `masks[j]` = m, visiting
+    only m's trigger bits: `rules` maps a trigger tile's bit to (patch, news)
+    mask pairs, and m holding the patch too has `masks[i]` = m ^ patch | c."""
+    index = {m: i for i, m in enumerate(masks)}
+    triggers = sum(rules)
+    for j, m in enumerate(masks):
+        rest = m & triggers
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for patch, news in rules[low]:
+                if m & patch == patch:
+                    for c in news:
+                        yield index[m ^ patch | c], j
+
+
+def _tiles_of(mask: int, tiles) -> frozenset[ZonoTile]:
+    """The tiles whose bits `mask` sets."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(tiles[low.bit_length() - 1])
+    return frozenset(out)
 
 
 def validation_error(T: ZonoTiling) -> str | None:
@@ -505,6 +536,11 @@ def validation_error(T: ZonoTiling) -> str | None:
                 f"tile base {sorted(tile.base)} not disjoint from labels"
                 f" {list(tile.labels)}"
             )
+    # a peel inverts only pairs not yet inverted, so a peel of every tile
+    # that reaches w covers each inversion of w exactly once
+    peeled, u = _greedy_peel(T)
+    if len(peeled) == len(T.tiles) and u == T.w.values:
+        return None
     position = [0] * (n + 1)
     for i, v in enumerate(T.w.values):
         position[v] = i
@@ -517,9 +553,9 @@ def validation_error(T: ZonoTiling) -> str | None:
     # each covered pair is now an inversion, covered once
     if len(covered) < T.w.length():
         return f"inversion {_least_uncovered(T.w, covered)} not covered by any tile"
-    if len(_greedy_peel(T)[0]) < len(T.tiles):
-        return "tiles do not admit any peeling order from the base boundary"
-    return None
+    # so the tiles cover inversions(w) once each, and a peel of every tile
+    # would have reached w: the peel stopped short
+    return "tiles do not admit any peeling order from the base boundary"
 
 
 def _least_uncovered(w: Permutation, covered) -> tuple[int, int]:

@@ -2,9 +2,9 @@
 
 A tile carries k >= 2 labels; its shape is the centrally symmetric 2k-gon
 swept by those k edge directions, and a rhombus is the k = 2 case.  The
-tile model, the validator and the conversions to and from rhombic
-tilings live in `tilings`, and the growth engine in `growth`, shared with
-rhombic tilings; this module adds the coarsening order and refinement.
+tile model, the validator, the conversions to and from rhombic tilings
+and the one guarded way into the growth engine live in `tilings`, shared
+with rhombic tilings; this module adds the coarsening order and refinement.
 The tilings of E(w) by such tiles form a poset under reverse edge
 inclusion (more edges = finer = smaller), whose minimal elements are
 exactly the rhombic tilings.  The order is computed tile-wise, from tile
@@ -15,10 +15,10 @@ the rhombic ones give `refinements` and the coatoms the covers, both from
 one cached entry per k (`_coatoms`), which keeps each coatom's label and
 base positions too, so a cover rule looks its tiles up with none built.
 Everything here reads E(w) off the key-ranked tile table of
-`growth._canonical_paths`, as int masks, never through the cached
-enumerations: `poset` off its digest-sorted form, which `flips.flip_graph`
-shares (covers are found on the masks by the flips' scan,
-`growth._replaced`, and no tiling is built until `elements` is read), and
+`tilings._table`, as int masks, never through the cached enumerations:
+`poset` off its digest-sorted form, which `flips.flip_graph` shares
+(covers are found on the masks by the flips' scan, `tilings._replaced`,
+and no tiling is built until `elements` is read), and
 `minimal_upper_bounds` walking only the moves of tiles both tilings fill,
 so it meets and builds only the common coarsenings.
 """
@@ -28,9 +28,9 @@ from functools import cached_property, lru_cache, reduce
 from itertools import product
 from math import comb
 
-from .growth import _canonical_paths, _digest_table, _replaced, _tiles_of
 from .permutations import Permutation, Record
-from .tilings import RhombicTiling, ZonoTile, ZonoTiling, _guard
+from .tilings import RhombicTiling, ZonoTile, ZonoTiling
+from .tilings import _digest_table, _replaced, _table, _tiles_of
 
 __all__ = [
     "ZonoPoset",
@@ -91,7 +91,7 @@ class ZonoPoset(Record):
     labels by `_relabel(C, t)`, for each coatom C of E(w0(k)): a tiling
     that the single 2k-gon covers.  On masks, the lower covers of m at the
     bit b of such a tile are `m ^ b | c`, one for each relabelled coatom's
-    mask c: one rule of `growth._replaced` per tile (see `_cover_pairs`).
+    mask c: one rule of `tilings._replaced` per tile (see `_cover_pairs`).
     """
 
     w: Permutation
@@ -157,7 +157,7 @@ def _coatoms(k: int) -> tuple[tuple, tuple, tuple]:
     fewer than k labels, so their rules need only smaller tables, down to
     k = 2, one rhombus with no coatom.  The length guard keeps k <= 6."""
     w0 = Permutation.longest(k)
-    tiles, _, paths = _canonical_paths(w0, *_guard(w0, zonotopal=True))
+    tiles, _, paths = _table(w0, zonotopal=True)
     masks = [mask for mask, _ in paths()]
     multi = [m for m in masks if m & m - 1]
     below = {i for i, _ in _cover_pairs(multi, tiles)}
@@ -173,7 +173,7 @@ def _coatoms(k: int) -> tuple[tuple, tuple, tuple]:
 def poset(w: Permutation) -> ZonoPoset:
     """The zonotopal tilings of E(w), each digested from the canonical JSON
     line its growth path writes, with no tiling built."""
-    return ZonoPoset(w, *_digest_table(w, *_guard(w, zonotopal=True)))
+    return ZonoPoset(w, *_digest_table(w, zonotopal=True))
 
 
 def maximal_elements(p: ZonoPoset) -> frozenset[ZonoTiling]:
@@ -201,10 +201,10 @@ def minimal_upper_bounds(Z1: ZonoTiling, Z2: ZonoTiling) -> frozenset[ZonoTiling
 
     May be empty or contain several tilings; a singleton is a least upper
     bound.  Z >= Z1 iff Z1 fills every tile of Z, so the walk of
-    `_canonical_paths` takes only moves whose tiles Z1 and Z2 both fill, and
+    `_table` takes only moves whose tiles Z1 and Z2 both fill, and
     the paths it ends, the common coarsenings, alone are built and compared."""
     _same_polygon(Z1, Z2)
-    tiles, _, paths = _canonical_paths(Z1.w, *_guard(Z1.w, zonotopal=True))
+    tiles, _, paths = _table(Z1.w, zonotopal=True)
     filled = sum(1 << r for r, t in enumerate(tiles) if _fills(Z1, t) and _fills(Z2, t))
     bounds = [ZonoTiling(Z1.w, _tiles_of(mask, tiles)) for mask, _ in paths(~filled)]
     return frozenset(

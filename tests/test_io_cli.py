@@ -1032,7 +1032,10 @@ SUBCOMMAND_MODULES = {
     "render {t}": set(),
     "render {t} --coloring 101": {"bott_samelson"},
     "flipgraph 321": {"flips", "growth"},
+    "flipgraph 87654321": {"flips"},
     "poset 321": {"zonotopal", "growth"},
+    "poset 987654321": {"zonotopal"},
+    "poset 87654321": {"zonotopal"},
     "poincare {t}": {"bott_samelson"},
     "fixedpoints {t}": {"bott_samelson"},
 }
@@ -1042,6 +1045,11 @@ REFUSED = {
     "enumerate 87654321":
         "error: rhombic tiling enumeration refused: length 28 exceeds the guard 20\n",
     "enumerate 87654321 --zonotopal":
+        "error: zonotopal tiling enumeration refused: length 28 exceeds the guard 20\n",
+    "flipgraph 87654321":
+        "error: rhombic tiling enumeration refused: length 28 exceeds the guard 20\n",
+    "poset 987654321": "error: zonotopal enumeration refused: rank 9 exceeds the guard 8\n",
+    "poset 87654321":
         "error: zonotopal tiling enumeration refused: length 28 exceeds the guard 20\n",
 }
 # standard-library modules whose loading the test below checks

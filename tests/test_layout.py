@@ -2,15 +2,17 @@
 itself and the standard library, the brute-force oracle and the test
 helpers stay independent of the code they check, the CLI uses only the
 public names of the modules it calls, the package namespace imports none
-of its modules eagerly, `ZonoTile` is the package's one tile class, and
-every `functools` cache in the package is bounded."""
+of its modules eagerly, only `tilings` imports the growth engine, and only
+inside a function, `ZonoTile` is the package's one tile class, and every
+`functools` cache in the package is bounded."""
 import ast
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "elnitsky"
-HELPERS = ROOT / "tests" / "helpers.py"
+TESTS = ROOT / "tests"
+HELPERS = TESTS / "helpers.py"
 CLI = PACKAGE / "io_cli.py"
 INIT = PACKAGE / "__init__.py"
 
@@ -133,6 +135,35 @@ def test_namespace_imports_no_package_module_at_module_level():
         if package_modules(module, level, names)
     ]
     assert eager == []
+
+
+def test_only_tilings_imports_the_growth_engine_inside_a_function():
+    """`tilings._table` is the one way into E(w): it runs the guards and
+    only then imports `growth`, so that a refusal never compiles the
+    engine.  No other package module imports `growth`, and nothing else,
+    in the package or the tests, reaches `_canonical_paths` past the
+    guards; the tests may build one block's graph with `_block_graph`."""
+
+    def growth_imports(path, nodes=ast.walk):
+        return [
+            (path.name, module, names)
+            for module, level, names in imports(path, nodes)
+            if "growth" in package_modules(module, level, names)
+        ]
+
+    engine = {"tilings.py", "growth.py"}
+    others = [path for path in sorted(PACKAGE.glob("*.py")) if path.name not in engine]
+    outside = [i for path in others for i in growth_imports(path)]
+    eager = growth_imports(PACKAGE / "tilings.py", module_level)
+    unguarded = [
+        path.name
+        for path in [*others, *sorted(TESTS.glob("*.py"))]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if "_canonical_paths" in {getattr(node, "attr", None), getattr(node, "id", None)}
+        or isinstance(node, ast.ImportFrom)
+        and "_canonical_paths" in {a.name for a in node.names}
+    ]
+    assert outside == eager == unguarded == []
 
 
 def test_no_package_class_subclasses_the_tile():

@@ -605,6 +605,17 @@ def test_validate_accepts_every_growth_output():
         assert validation_error(T) is None
 
 
+def test_validate_accepts_one_rank_2000_tile_without_listing_its_pairs():
+    """E(w0(2000)) as its one 4000-gon: a peel of every tile that reaches w
+    accepts it with none of the tile's 1,999,000 pairs listed."""
+    n = 2000
+    T = ZonoTiling(Permutation.longest(n), frozenset({ZonoTile(range(1, n + 1), ())}))
+    start = time.perf_counter()
+    assert validation_error(T) is None
+    assert time.perf_counter() - start < 0.3
+    assert traced_peak(validation_error, T) < 10 * 2**20
+
+
 def test_edges_and_vertices_of_single_tile():
     T = word_to_tiling(Word((1,), 2))
     assert len(vertices_of(T)) == 4
@@ -726,6 +737,18 @@ def test_class_sizes_at_the_length_guard_sum_to_the_descent_count():
     w = Permutation.from_string("7654312")
     assert reduced_words_by_descents(w) == 141_892_608
     assert sum(class_sizes(w)) == 141_892_608
+
+
+@pytest.mark.long
+def test_class_sizes_sum_to_the_descent_count_on_s7():
+    """As above for all 5,039 w of S7 within the length guard, l(w) <= 20:
+    every w of S7 but w0(7)."""
+    checked = 0
+    for w in symmetric_group(7):
+        if w.length() <= 20:
+            assert sum(class_sizes(w)) == reduced_words_by_descents(w), w.to_string()
+            checked += 1
+    assert checked == 5039
 
 
 def test_to_json_matches_json_dumps_with_two_digit_labels():
